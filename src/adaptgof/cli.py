@@ -60,9 +60,9 @@ def parse_csv(path: str, response: str, overrides: dict | None = None) -> Datase
 
     The response column is coerced to {0, 1}; every other column is typed
     automatically (all-numeric -> continuous, otherwise discrete) unless
-    ``overrides`` maps the name to an explicit kind. Rows with missing values
-    and non-binary responses are rejected with their row numbers (the header
-    is row 1).
+    ``overrides`` maps the name to an explicit kind. Rows with missing values,
+    non-finite numbers (``nan``, ``inf``) in continuous columns and non-binary
+    responses are rejected with their row numbers (the header is row 1).
     """
     overrides = overrides or {}
     try:
@@ -92,9 +92,7 @@ def parse_csv(path: str, response: str, overrides: dict | None = None) -> Datase
         if any(cell.strip() == "" for cell in row):
             missing.append(i)
     if missing:
-        shown = ", ".join(str(r) for r in missing[:10])
-        more = "" if len(missing) <= 10 else f" (and {len(missing) - 10} more)"
-        raise CliError(f"{path} has missing values in rows: {shown}{more}")
+        raise CliError(f"{path} has missing values in rows: {_row_list(missing)}")
 
     cells = {name: [row[j].strip() for row in body] for j, name in enumerate(header)}
 
@@ -111,6 +109,7 @@ def parse_csv(path: str, response: str, overrides: dict | None = None) -> Datase
 
     columns = {}
     kinds = {}
+    finite = np.ones(len(body), dtype=bool)
     for name in header:
         if name == response:
             continue
@@ -125,10 +124,20 @@ def parse_csv(path: str, response: str, overrides: dict | None = None) -> Datase
                     f"holds a non-numeric value"
                 )
             columns[name] = np.array([float(v) for v in values])
+            finite &= np.isfinite(columns[name])
         else:
             columns[name] = np.array(values, dtype=object)
         kinds[name] = kind
+    if not finite.all():
+        bad = (np.flatnonzero(~finite) + 2).tolist()
+        raise CliError(f"{path} has non-finite values (nan or inf) in rows: {_row_list(bad)}")
     return Dataset(y=y, columns=columns, kinds=kinds)
+
+
+def _row_list(rows: list) -> str:
+    """The first ten row numbers, then a count of the rest."""
+    shown = ", ".join(str(r) for r in rows[:10])
+    return shown if len(rows) <= 10 else f"{shown} (and {len(rows) - 10} more)"
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +327,10 @@ def run_experiment_command(args) -> int:
         variants = [{"chi2_df": args.chi2_df}]
     else:
         variants = default_variants(args.setting)
-    specs = [make_setting(args.setting, args.n, **kw) for kw in variants]
+    try:
+        specs = [make_setting(args.setting, args.n, **kw) for kw in variants]
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
     methods = []
     for label in args.methods.split(","):
@@ -336,7 +348,10 @@ def run_experiment_command(args) -> int:
             raise CliError(f"unknown method {label!r}; use hl-a, hl-b, bag-a, bag-b")
 
     rng = RandomSource(seed)
-    results = run_experiment(specs, methods, reps=args.reps, rng=rng, alpha=args.alpha)
+    try:
+        results = run_experiment(specs, methods, reps=args.reps, rng=rng, alpha=args.alpha)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
     os.makedirs(args.outdir, exist_ok=True)
     csv_path = os.path.join(args.outdir, "rates.csv")

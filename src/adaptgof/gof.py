@@ -39,6 +39,7 @@ from .partition import (
     assign_groups,
     greedy_partition,
     grouped_chi2,
+    presort,
     probability_partition,
 )
 
@@ -309,28 +310,45 @@ def _max_contribution_group(y, phat, group_idx, n_groups: int) -> int:
     return int(np.argmax(contrib))
 
 
-def _resolved(config: TestConfig, dataset: Dataset) -> tuple:
+def _plan(config: TestConfig, dataset: Dataset) -> tuple:
+    """What every split of one test shares: ``(n_train, partition config, order)``.
+
+    Resolves the defaults and checks the sizes once, so a configuration that
+    no split can satisfy raises ``ValueError`` instead of failing every split.
+    For the covariate search it also sorts each continuous column once over
+    all rows (``order``); each split filters its training rows out of that.
+    """
     n = dataset.n
     n_min = config.n_min if config.n_min is not None else n // 10
-    train = config.train_size if config.train_size is not None else default_train_size(n, config.k)
-    if not 0 < train < n:
-        raise ValueError(f"training size {train} must lie strictly between 0 and {n}")
-    return n_min, train
+    n_train = config.train_size if config.train_size is not None else default_train_size(n, config.k)
+    if not 0 < n_train < n:
+        raise ValueError(f"training size {n_train} must lie strictly between 0 and {n}")
+    if n_train < 2 * n_min:
+        raise ValueError(f"training size {n_train} is below 2 * n_min = {2 * n_min}")
+    if n - n_train < config.k:
+        raise ValueError(f"test size {n - n_train} is below k = {config.k}")
+    if config.partition_by == "score":
+        scores = dataset.numeric(config.score_column)
+        if not np.all((scores >= 0.0) & (scores <= 1.0)):
+            raise ValueError(f"score column {config.score_column!r} must lie in [0, 1]")
+    if config.partition_by != "covariates":
+        return n_train, None, None
+    cont = config.continuous if config.continuous is not None else dataset.continuous_names
+    disc = config.discrete if config.discrete is not None else dataset.discrete_names
+    pcfg = PartitionConfig(k=config.k, n_min=n_min, continuous=cont, discrete=disc)
+    return n_train, pcfg, presort(dataset.columns, pcfg.continuous)
 
 
 def _split_once(
     dataset: Dataset,
     x_full: DesignMatrix,
     config: TestConfig,
+    plan: tuple,
     rng: RandomSource,
 ) -> SplitOutcome:
     n = dataset.n
-    n_min, n_train = _resolved(config, dataset)
+    n_train, pcfg, order = plan
     n_test = n - n_train
-    if n_train < 2 * n_min:
-        raise ValueError(f"training size {n_train} is below 2 * n_min = {2 * n_min}")
-    if n_test < config.k:
-        raise ValueError(f"test size {n_test} is below k = {config.k}")
 
     perm = rng.permutation(n)
     train_idx = np.sort(perm[:n_train])
@@ -346,10 +364,15 @@ def _split_once(
     test_cols = {name: col[test_idx] for name, col in dataset.columns.items()}
 
     if config.partition_by == "covariates":
-        cont = config.continuous if config.continuous is not None else dataset.continuous_names
-        disc = config.discrete if config.discrete is not None else dataset.discrete_names
-        pcfg = PartitionConfig(k=config.k, n_min=n_min, continuous=cont, discrete=disc)
-        part = greedy_partition(pcfg, train_cols, dataset.y[train_idx], phat_train)
+        # Rank of each training row among the training rows: the split's
+        # sorted order follows from the shared one in O(n), with no sort.
+        member = np.zeros(n, dtype=bool)
+        member[train_idx] = True
+        rank = np.cumsum(member) - 1
+        train_order = {s: rank[np.compress(member[o], o)] for s, o in order.items()}
+        part = greedy_partition(
+            pcfg, train_cols, dataset.y[train_idx], phat_train, order=train_order
+        )
     elif config.partition_by == "score":
         scores = np.asarray(dataset.numeric(config.score_column), dtype=float)
         part = probability_partition(scores[train_idx], config.k, source=config.score_column)
@@ -394,7 +417,8 @@ def single_split_test(
     degrees of freedom. Identical seed and configuration give an identical
     outcome.
     """
-    return _split_once(dataset, design_matrix(dataset, mta), config, rng)
+    x_full = design_matrix(dataset, mta)
+    return _split_once(dataset, x_full, config, _plan(config, dataset), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +483,12 @@ def multi_split_test(
     splits fail the report is inconclusive.
     """
     x_full = design_matrix(dataset, mta)
+    plan = _plan(config, dataset)
     outcomes = []
     for i in range(config.splits):
         child = rng.child(("split", i))
         try:
-            out = _split_once(dataset, x_full, config, child)
+            out = _split_once(dataset, x_full, config, plan, child)
         except Exception as exc:  # noqa: BLE001 -- any split failure is recorded, not raised
             out = SplitOutcome.failure(f"{type(exc).__name__}: {exc}")
         outcomes.append(out)

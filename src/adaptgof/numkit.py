@@ -180,10 +180,14 @@ def empirical_quantiles(values, probs) -> np.ndarray:
     if np.any(ps <= 0.0) or np.any(ps >= 1.0):
         raise ValueError("probe probabilities must lie strictly in (0, 1)")
     srt = np.sort(v)
-    n = srt.size
+    return srt[_lower_quantile_index(srt.size, ps)]
+
+
+def _lower_quantile_index(n: int, probs: np.ndarray) -> np.ndarray:
+    """Positions in a sorted sample of size n of its lower ``probs`` quantiles."""
     # The small slack guards against 0.25 * 100 evaluating to 25.000000000000004.
-    idx = np.ceil(n * ps - 1e-9).astype(int) - 1
-    return srt[np.clip(idx, 0, n - 1)]
+    idx = np.ceil(n * probs - 1e-9).astype(int) - 1
+    return np.clip(idx, 0, n - 1)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,17 @@ search grows a binary tree of such rules on training data, choosing at every
 step the cut that maximizes the grouped chi-squared criterion of the two
 children, until the target group count is reached or no feasible cut remains.
 
+The continuous cut search works on presorted columns (the presorting of
+CART, and the exact-greedy scan over sorted column blocks of XGBoost). Each
+continuous column is sorted once per search -- or once per test, since
+``greedy_partition`` accepts the stable order of every column as ``order`` --
+and each child group's sorted rows are filtered from its parent's. A node's
+candidate thresholds are read straight off its sorted column and all of them
+are scored in one vectorised expression over the running residual and
+variance sums. Because a stable sort of a subset equals the parent's stable
+order restricted to that subset, those running sums are the ones a fresh
+per-node sort would give.
+
 Determinism matters here: ties in the cut search are broken first by larger
 criterion value, then by lexicographically smaller source name, then by
 smaller threshold (or smaller membership set).
@@ -19,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import empirical_quantiles
+from .numkit import _lower_quantile_index, empirical_quantiles
 
 __all__ = [
     "AxisRule",
@@ -33,6 +44,7 @@ __all__ = [
     "grouped_chi2",
     "candidate_thresholds",
     "candidate_discrete_splits",
+    "presort",
     "greedy_partition",
     "assign_groups",
     "probability_partition",
@@ -214,25 +226,27 @@ def candidate_thresholds(values, n_min: int) -> list:
     thresholds that leave at least n_min rows on each side. Returns an empty
     list when no valid threshold exists.
     """
-    v = np.asarray(values, dtype=float)
-    n0 = v.size
     if n_min < 1:
         raise ValueError("n_min must be at least 1")
+    _, cuts = _threshold_cuts(np.sort(np.asarray(values, dtype=float)), n_min)
+    return cuts.tolist()
+
+
+def _threshold_cuts(srt: np.ndarray, n_min: int) -> tuple:
+    """The ``candidate_thresholds`` rule on an ascending column.
+
+    Returns ``(left, cuts)``: ``cuts`` holds the ascending feasible thresholds
+    and ``left`` the number of rows ``<=`` each (the size of the left child).
+    """
+    n0 = srt.size
     rho = n0 // n_min
-    if n0 < 2 * n_min or rho < 2:
-        return []
-    probs = [j / rho for j in range(1, rho)]
-    qs = empirical_quantiles(v, probs)
-    srt = np.sort(v)
-    out = []
-    for t in qs:
-        t = float(t)
-        if out and t <= out[-1]:
-            continue
-        left = int(np.searchsorted(srt, t, side="right"))
-        if left >= n_min and n0 - left >= n_min:
-            out.append(t)
-    return out
+    if rho < 2:
+        return np.empty(0, dtype=int), np.empty(0)
+    qs = srt[_lower_quantile_index(n0, np.arange(1, rho) / rho)]
+    qs = qs[np.concatenate(([True], qs[1:] > qs[:-1]))]
+    left = np.searchsorted(srt, qs, side="right")
+    keep = (left >= n_min) & (n0 - left >= n_min)
+    return left[keep], qs[keep]
 
 
 def candidate_discrete_splits(labels, n_min: int, residuals=None) -> list:
@@ -282,23 +296,23 @@ def candidate_discrete_splits(labels, n_min: int, residuals=None) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _best_continuous_cut(vals, resid, var, n_min):
-    """Best threshold for one column: (children B, threshold) or None."""
-    cands = candidate_thresholds(vals, n_min)
-    if not cands:
+def _best_threshold_cut(vs, resid, var, n_min):
+    """Best threshold of one column: (children B, threshold) or None.
+
+    ``vs`` is the column in ascending order and ``resid`` / ``var`` are the
+    rows in that same order. Every candidate is scored in one expression over
+    the running sums; ``argmax`` keeps the first maximum, which is the
+    smallest of tied thresholds.
+    """
+    left, cuts = _threshold_cuts(vs, n_min)
+    if cuts.size == 0:
         return None
-    order = np.argsort(vals, kind="stable")
-    vs = vals[order]
-    cum_r = np.cumsum(resid[order])
-    cum_v = np.cumsum(var[order])
-    tot_r, tot_v = cum_r[-1], cum_v[-1]
-    best = None
-    for t in cands:  # ascending: ties keep the smaller threshold
-        i = int(np.searchsorted(vs, t, side="right")) - 1
-        b = cum_r[i] ** 2 / cum_v[i] + (tot_r - cum_r[i]) ** 2 / (tot_v - cum_v[i])
-        if best is None or b > best[0]:
-            best = (float(b), float(t))
-    return best
+    cum_r = np.cumsum(resid)
+    cum_v = np.cumsum(var)
+    lr, lv = cum_r[left - 1], cum_v[left - 1]
+    b = lr**2 / lv + (cum_r[-1] - lr) ** 2 / (cum_v[-1] - lv)
+    best = int(np.argmax(b))
+    return float(b[best]), float(cuts[best])
 
 
 def _best_discrete_cut(labs, resid, var, n_min):
@@ -317,7 +331,18 @@ def _best_discrete_cut(labs, resid, var, n_min):
     return best
 
 
-def greedy_partition(config: PartitionConfig, columns: dict, y, phat) -> Partition:
+def presort(columns: dict, names) -> dict:
+    """Stable ascending row order of each named column, keyed by name.
+
+    ``greedy_partition`` takes this as its ``order`` argument; a test that
+    runs many searches over subsets of the same rows computes it once.
+    """
+    return {s: np.argsort(np.asarray(columns[s], dtype=float), kind="stable") for s in names}
+
+
+def greedy_partition(
+    config: PartitionConfig, columns: dict, y, phat, order: dict | None = None
+) -> Partition:
     """Tree-based greedy adaptive partition of the covariate space.
 
     Starting from the whole space, repeatedly scans the current group (queue
@@ -325,6 +350,11 @@ def greedy_partition(config: PartitionConfig, columns: dict, y, phat) -> Partiti
     replaces it by its two children, until ``config.k`` groups exist or no
     group admits a cut. Every returned group holds at least ``config.n_min``
     training rows.
+
+    ``order`` maps every continuous source (including ``config.score``) to
+    the stable ascending order of its rows, as ``presort`` returns it; it is
+    computed here when not given. Each group's sorted rows are filtered from
+    its parent's, so no column is sorted more than once per call.
 
     Raises:
         InfeasiblePartitionError: when even the root cannot be split.
@@ -347,56 +377,71 @@ def greedy_partition(config: PartitionConfig, columns: dict, y, phat) -> Partiti
         if s not in columns:
             raise MissingColumnError(s)
         cols[s] = np.asarray(columns[s]) if is_discrete[s] else np.asarray(columns[s], dtype=float)
+    ordered = [s for s in sources if not is_discrete[s]]
+    if order is None:
+        order = presort(cols, ordered)
 
-    def best_split(idx):
-        n0 = idx.size
-        if n0 < 2 * config.n_min:
+    # A node is (rows in ascending index order, rules, {source: rows in
+    # ascending value order}). A stable sort of a subset equals the parent's
+    # stable order filtered to that subset, so every running sum and tie
+    # matches a fresh per-node sort.
+    def best_split(node):
+        idx, _, sorted_rows = node
+        if idx.size < 2 * config.n_min:
             return None
-        r, v = resid[idx], var[idx]
         best = None  # (b, source, kind, payload)
         for s in sources:  # lexicographic order; strict '>' keeps earlier source on ties
-            col = cols[s][idx]
             if is_discrete[s]:
-                found = _best_discrete_cut(col, r, v, config.n_min)
+                found = _best_discrete_cut(cols[s][idx], resid[idx], var[idx], config.n_min)
                 kind = "in"
             else:
-                found = _best_continuous_cut(col, r, v, config.n_min)
+                o = sorted_rows[s]
+                found = _best_threshold_cut(cols[s][o], resid[o], var[o], config.n_min)
                 kind = "le"
             if found is not None and (best is None or found[0] > best[0]):
                 best = (found[0], s, kind, found[1])
         return best
 
-    root = (np.arange(n), ())
-    if n < 2 * config.n_min or best_split(root[0]) is None:
+    def children(node, found):
+        idx, rules, sorted_rows = node
+        _, source, kind, payload = found
+        if kind == "le":
+            left = cols[source] <= payload
+            left_rule = AxisRule(source, "le", threshold=payload)
+            right_rule = AxisRule(source, "gt", threshold=payload)
+        else:
+            left = np.isin(cols[source], np.asarray(payload))
+            left_rule = AxisRule(source, "in", labels=payload)
+            right_rule = AxisRule(source, "not-in", labels=payload)
+        # np.compress gives what boolean indexing gives, several times
+        # faster on scattered masks
+        return [
+            (np.compress(side[idx], idx), rules + (rule,),
+             {s: np.compress(side[o], o) for s, o in sorted_rows.items()})
+            for side, rule in ((left, left_rule), (~left, right_rule))
+        ]
+
+    root = (np.arange(n), (), {s: np.asarray(order[s]) for s in ordered})
+    found = best_split(root)
+    if found is None:
         raise InfeasiblePartitionError(
             "the root group admits no feasible split; lower n_min or provide more data"
         )
 
-    queue = deque([root])
+    queue = deque(children(root, found))
     finished = []
-    total = 1
+    total = 2
     while queue and total < config.k:
-        idx, rules = queue.popleft()
-        found = best_split(idx)
+        node = queue.popleft()
+        found = best_split(node)
         if found is None:
-            finished.append((idx, rules))
+            finished.append(node)
             continue
-        _, source, kind, payload = found
-        col = cols[source][idx]
-        if kind == "le":
-            left_mask = np.asarray(col, dtype=float) <= payload
-            left_rule = AxisRule(source, "le", threshold=payload)
-            right_rule = AxisRule(source, "gt", threshold=payload)
-        else:
-            left_mask = np.isin(col, np.asarray(payload))
-            left_rule = AxisRule(source, "in", labels=payload)
-            right_rule = AxisRule(source, "not-in", labels=payload)
-        queue.append((idx[left_mask], rules + (left_rule,)))
-        queue.append((idx[~left_mask], rules + (right_rule,)))
+        queue.extend(children(node, found))
         total += 1
 
     nodes = finished + list(queue)
-    groups = tuple(Group(rules=r, train_count=int(i.size)) for i, r in nodes)
+    groups = tuple(Group(rules=r, train_count=int(i.size)) for i, r, _ in nodes)
     used = sorted({rule.source for g in groups for rule in g.rules})
     return Partition(groups=groups, sources=tuple(used))
 

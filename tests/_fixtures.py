@@ -7,8 +7,18 @@ values.
 """
 
 import math
+from collections import deque
 
 import numpy as np
+
+from adaptgof.partition import (
+    AxisRule,
+    Group,
+    InfeasiblePartitionError,
+    MissingColumnError,
+    Partition,
+    candidate_discrete_splits,
+)
 
 # ---------------------------------------------------------------------------
 # Fixtures
@@ -176,3 +186,110 @@ def grid_search_mle_oracle(x, y, spans, rounds=6, points=41):
         centers = [best[1], best[2]]
         widths = [w * 2.0 / (points - 1) * 2.0 for w in widths]
     return np.array([best[1], best[2]])
+
+
+def _thresholds_oracle(values, n_min):
+    """The j/rho lower-quantile threshold rule, one searchsorted per candidate."""
+    srt = np.sort(np.asarray(values, dtype=float))
+    n0 = srt.size
+    rho = n0 // n_min
+    if n0 < 2 * n_min or rho < 2:
+        return []
+    out = []
+    for j in range(1, rho):
+        t = float(srt[min(max(math.ceil(n0 * (j / rho) - 1e-9) - 1, 0), n0 - 1)])
+        if out and t <= out[-1]:
+            continue
+        left = int(np.searchsorted(srt, t, side="right"))
+        if left >= n_min and n0 - left >= n_min:
+            out.append(t)
+    return out
+
+
+def greedy_partition_oracle(config, columns, y, phat):
+    """The greedy covariate search with a fresh sort of every node and column.
+
+    Every node re-sorts each continuous column, scores its candidates in a
+    python loop, and the root is scanned for feasibility and again when it is
+    split. Tie-breaks: larger B, then the lexicographically smaller source,
+    then the smaller threshold or the earlier label set. Discrete label sets
+    come from ``candidate_discrete_splits``; only the continuous scan is
+    re-derived here.
+    """
+    y = np.asarray(y, dtype=float)
+    p = np.asarray(phat, dtype=float)
+    resid = y - p
+    var = p * (1.0 - p)
+    n = y.size
+    cont = list(config.continuous) + ([config.score] if config.score is not None else [])
+    sources = sorted(set(cont) | set(config.discrete))
+    is_discrete = {s: s in set(config.discrete) for s in sources}
+    cols = {}
+    for s in sources:
+        if s not in columns:
+            raise MissingColumnError(s)
+        cols[s] = np.asarray(columns[s]) if is_discrete[s] else np.asarray(columns[s], dtype=float)
+
+    def continuous_cut(vals, r, v):
+        cands = _thresholds_oracle(vals, config.n_min)
+        if not cands:
+            return None
+        order = np.argsort(vals, kind="stable")
+        vs = vals[order]
+        cum_r = np.cumsum(r[order])
+        cum_v = np.cumsum(v[order])
+        best = None
+        for t in cands:
+            i = int(np.searchsorted(vs, t, side="right")) - 1
+            b = cum_r[i] ** 2 / cum_v[i] + (cum_r[-1] - cum_r[i]) ** 2 / (cum_v[-1] - cum_v[i])
+            if best is None or b > best[0]:
+                best = (float(b), t)
+        return best
+
+    def discrete_cut(labs, r, v):
+        best = None
+        for side in candidate_discrete_splits(labs, config.n_min, residuals=r):
+            mask = np.isin(labs, np.asarray(side))
+            lr, lv = float(r[mask].sum()), float(v[mask].sum())
+            b = lr**2 / lv + (float(r.sum()) - lr) ** 2 / (float(v.sum()) - lv)
+            if best is None or b > best[0]:
+                best = (float(b), side)
+        return best
+
+    def best_split(idx):
+        if idx.size < 2 * config.n_min:
+            return None
+        best = None
+        for s in sources:
+            cut = discrete_cut if is_discrete[s] else continuous_cut
+            found = cut(cols[s][idx], resid[idx], var[idx])
+            if found is not None and (best is None or found[0] > best[0]):
+                best = (found[0], s, found[1])
+        return best
+
+    if best_split(np.arange(n)) is None:
+        raise InfeasiblePartitionError("the root group admits no feasible split")
+    queue = deque([(np.arange(n), ())])
+    finished = []
+    total = 1
+    while queue and total < config.k:
+        idx, rules = queue.popleft()
+        found = best_split(idx)
+        if found is None:
+            finished.append((idx, rules))
+            continue
+        _, source, payload = found
+        col = cols[source][idx]
+        if is_discrete[source]:
+            left = np.isin(col, np.asarray(payload))
+            pair = (AxisRule(source, "in", labels=payload), AxisRule(source, "not-in", labels=payload))
+        else:
+            left = col <= payload
+            pair = (AxisRule(source, "le", threshold=payload), AxisRule(source, "gt", threshold=payload))
+        queue.append((idx[left], rules + (pair[0],)))
+        queue.append((idx[~left], rules + (pair[1],)))
+        total += 1
+    nodes = finished + list(queue)
+    groups = tuple(Group(rules=r, train_count=int(i.size)) for i, r in nodes)
+    used = sorted({rule.source for g in groups for rule in g.rules})
+    return Partition(groups=groups, sources=tuple(used))

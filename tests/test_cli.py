@@ -87,6 +87,16 @@ class TestParseCsv:
             parse_csv(str(FIXTURES / "mixed_types.csv"), "outcome",
                       overrides={"city": "continuous"})
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_values_name_rows(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        rows = [f"{i % 2},{i * 0.1},{i * 0.2}" for i in range(30)]
+        rows[4] = f"0,0.4,{cell}"
+        rows[17] = f"1,{cell},1.7"
+        path.write_text("y,x1,x2\n" + "\n".join(rows) + "\n")
+        with pytest.raises(CliError, match=r"non-finite values .* rows: 6, 19$"):
+            parse_csv(str(path), "y")
+
     def test_unknown_response(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("y,x\n1,0.5\n0,1.0\n")
@@ -142,6 +152,34 @@ class TestTestCommand:
                      "--response", "y", "--formula", "x1"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_too_few_rows_for_k_is_an_error(self, tmp_path, capsys):
+        # 12 rows leave 2 test rows, below the default k = 5: no split can
+        # run, so the command fails once instead of reporting INCONCLUSIVE
+        path = tmp_path / "tiny.csv"
+        path.write_text("y,x1\n" + "".join(f"{i % 2},{i * 0.5}\n" for i in range(12)))
+        code = main(["test", "--input", str(path), "--response", "y", "--formula", "x1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "test size 2 is below k = 5" in captured.err
+        assert "INCONCLUSIVE" not in captured.out
+
+    def test_nan_in_unused_covariate_is_an_error(self, tmp_path, capsys):
+        spec = make_setting("1", 200, beta3=0.651)
+        ds = generate(spec, RandomSource(8).child("data"))
+        path = tmp_path / "nan.csv"
+        write_dataset_csv(ds, path)
+        lines = path.read_text().splitlines()
+        cells = lines[50].split(",")
+        cells[3] = "nan"  # x3, which the formula leaves out
+        lines[50] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["test", "--input", str(path), "--response", "y",
+                     "--formula", "x1 + x2", "--splits", "20", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "rows: 51" in captured.err
+        assert "decision" not in captured.out
 
     def test_env_var_seed(self, tmp_path, monkeypatch):
         path = setting1_csv(tmp_path, n=200)
@@ -233,6 +271,12 @@ class TestExperimentCommand:
                      "--outdir", str(tmp_path)])
         assert code == 1
         assert "reps" in capsys.readouterr().err
+
+    def test_too_small_n_is_usage_error(self, tmp_path, capsys):
+        code = main(["experiment", "--setting", "1", "--n", "20", "--reps", "1",
+                     "--outdir", str(tmp_path)])
+        assert code == 1
+        assert "at least 50" in capsys.readouterr().err
 
     def test_unknown_setting(self, tmp_path, capsys):
         code = main(["experiment", "--setting", "12", "--reps", "2",

@@ -330,12 +330,34 @@ class TestMultiSplit:
     def test_majority_failures_inconclusive(self):
         spec = make_setting("1", 200, beta3=0.651)
         ds = generate(spec, RandomSource(10).child("data"))
-        # n_min too large for the training half: every split fails
-        cfg = TestConfig(splits=6, n_min=90)
+        # the only splitting column is constant: every split's partition
+        # search is infeasible
+        ds = ds.with_column("flat", np.ones(ds.n))
+        cfg = TestConfig(splits=6, continuous=("flat",), discrete=())
         report = multi_split_test(ds, spec.model_b, cfg, RandomSource(10).child("m"))
         assert report.inconclusive
         assert report.reject is None
         assert report.n_failed == 6
+
+    def test_unsatisfiable_sizes_raise_before_any_split(self):
+        spec = make_setting("1", 200, beta3=0.651)
+        ds = generate(spec, RandomSource(10).child("data"))
+        # n_min too large for the training rows: no split could run
+        with pytest.raises(ValueError, match="below 2 \\* n_min"):
+            multi_split_test(ds, spec.model_b, TestConfig(splits=6, n_min=90),
+                             RandomSource(10).child("m"))
+        with pytest.raises(ValueError, match="test size 4 is below k = 5"):
+            multi_split_test(ds, spec.model_b, TestConfig(splits=6, train_size=196),
+                             RandomSource(10).child("m"))
+        scored = ds.with_column("score", np.linspace(0.0, 1.5, ds.n))
+        with pytest.raises(ValueError, match="must lie in"):
+            multi_split_test(scored, spec.model_b,
+                             TestConfig(splits=6, partition_by="score", score_column="score"),
+                             RandomSource(10).child("m"))
+        with pytest.raises(KeyError):
+            multi_split_test(ds, spec.model_b,
+                             TestConfig(splits=6, partition_by="score", score_column="absent"),
+                             RandomSource(10).child("m"))
 
 
 class TestCovariateCounts:

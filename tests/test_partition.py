@@ -1,5 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from adaptgof import (
@@ -20,10 +24,22 @@ from adaptgof import (
     predict_prob,
     probability_partition,
 )
+from adaptgof.cli import parse_csv
 from adaptgof.formula import design_matrix
-from adaptgof.sim import generate, make_setting
+from adaptgof.glm import DesignMatrix
+from adaptgof.gof import TestConfig, default_train_size, single_split_test
+from adaptgof.partition import presort
+from adaptgof.sim import SETTINGS, generate, make_setting
 
-from _fixtures import CRIT12_GROUPS, CRIT12_PHAT, CRIT12_Y, grouped_chi2_oracle
+from _fixtures import (
+    CRIT12_GROUPS,
+    CRIT12_PHAT,
+    CRIT12_Y,
+    greedy_partition_oracle,
+    grouped_chi2_oracle,
+)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestCriterionB:
@@ -224,6 +240,16 @@ class TestGreedyPartition:
             hits += part.groups[0].rules[0].source == "x2"
         assert hits / runs >= 0.9
 
+    def test_tied_thresholds_keep_the_smaller(self):
+        # +10 residual in rows 1-20, -10 in rows 81-100, cancelling pairs in
+        # between: the cuts after row 20 and after row 80 tie exactly
+        x = np.arange(1.0, 101.0)
+        y = np.concatenate([np.ones(20), np.tile([0, 1], 30), np.zeros(20)])
+        cfg = PartitionConfig(k=2, n_min=20, continuous=("x",))
+        part = greedy_partition(cfg, {"x": x}, y, np.full(100, 0.5))
+        assert part.groups[0].rules[0].threshold == 20.0
+        assert part == greedy_partition_oracle(cfg, {"x": x}, y, np.full(100, 0.5))
+
     def test_deterministic_tie_break_prefers_lexicographic_source(self):
         # two identical columns: every cut ties, so the lexicographically
         # smaller name must win
@@ -236,6 +262,107 @@ class TestGreedyPartition:
             {"a_col": col, "b_col": col.copy()}, y, np.full(n, 0.5),
         )
         assert part.groups[0].rules[0].source == "a_col"
+
+
+class TestPresortedSearchMatchesOracle:
+    """The presorted scan returns exactly the partition of a per-node re-sort."""
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_seed_grid(self, setting):
+        spec = make_setting(setting, 500)
+        for seed in range(8):
+            ds = generate(spec, RandomSource(seed).child("data"))
+            x = design_matrix(ds, spec.model_b)
+            phat = predict_prob(fit_logistic(x, ds.y), x)
+            for k in (3, 5, 8):
+                for discrete in sorted({ds.discrete_names, ()}):
+                    cfg = PartitionConfig(k=k, n_min=50, continuous=ds.continuous_names,
+                                          discrete=discrete)
+                    expected = greedy_partition_oracle(cfg, ds.columns, ds.y, phat)
+                    assert greedy_partition(cfg, ds.columns, ds.y, phat) == expected
+                    order = presort(ds.columns, cfg.continuous)
+                    assert greedy_partition(cfg, ds.columns, ds.y, phat, order=order) == expected
+
+    def test_mixed_types_fixture(self):
+        ds = parse_csv(str(FIXTURES / "mixed_types.csv"), "outcome")
+        phat = np.linspace(0.3, 0.7, ds.n)
+        for k in (2, 3, 4, 6):
+            for n_min in (1, 2, 3):
+                cfg = PartitionConfig(k=k, n_min=n_min, continuous=ds.continuous_names,
+                                      discrete=ds.discrete_names)
+                expected = greedy_partition_oracle(cfg, ds.columns, ds.y, phat)
+                assert greedy_partition(cfg, ds.columns, ds.y, phat) == expected
+                order = presort(ds.columns, cfg.continuous)
+                assert greedy_partition(cfg, ds.columns, ds.y, phat, order=order) == expected
+
+    @pytest.mark.parametrize("setting", ["1", "nn-example"])
+    def test_split_order_derived_from_shared_presort(self, setting):
+        # single_split_test filters the training rows out of one presort of
+        # the full data; the oracle re-sorts the same training rows itself
+        spec = make_setting(setting, 500)
+        for seed in range(5):
+            ds = generate(spec, RandomSource(seed).child("data"))
+            out = single_split_test(ds, spec.model_b, TestConfig(), RandomSource(seed).child("s"))
+            perm = RandomSource(seed).child("s").permutation(ds.n)
+            train = np.sort(perm[:default_train_size(ds.n, 5)])
+            full = design_matrix(ds, spec.model_b)
+            x = DesignMatrix(full.values[train], full.names)
+            phat = predict_prob(fit_logistic(x, ds.y[train]), x)
+            cfg = PartitionConfig(k=5, n_min=ds.n // 10, continuous=ds.continuous_names,
+                                  discrete=ds.discrete_names)
+            train_cols = {name: col[train] for name, col in ds.columns.items()}
+            assert out.partition == greedy_partition_oracle(cfg, train_cols, ds.y[train], phat)
+
+
+@st.composite
+def _search_inputs(draw):
+    """Small searches with heavy ties: integer-valued columns, 1 to 3 of them."""
+    n = draw(st.integers(20, 150))
+    n_cols = draw(st.integers(1, 3))
+    cols = {
+        f"c{j}": np.array(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)), dtype=float)
+        for j in range(n_cols)
+    }
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    phat = np.array(draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n)))
+    cfg = PartitionConfig(k=draw(st.integers(2, 8)), n_min=draw(st.integers(1, n // 2)),
+                          continuous=tuple(cols))
+    return cfg, cols, y, phat
+
+
+_PROPERTY = settings(max_examples=60, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+def _partition_or_skip(cfg, cols, y, phat):
+    try:
+        return greedy_partition(cfg, cols, y, phat)
+    except InfeasiblePartitionError:
+        assume(False)
+
+
+class TestPartitionProperties:
+    @_PROPERTY
+    @given(_search_inputs())
+    def test_groups_tile_training_rows_with_n_min_each(self, inputs):
+        cfg, cols, y, phat = inputs
+        part = _partition_or_skip(cfg, cols, y, phat)
+        idx = assign_groups(part, cols)  # raises CoverageError unless each row has one group
+        assert 2 <= part.size <= cfg.k
+        assert all(g.train_count >= cfg.n_min for g in part.groups)
+        assert sum(g.train_count for g in part.groups) == y.size
+        assert np.bincount(idx, minlength=part.size).tolist() == [
+            g.train_count for g in part.groups]
+        assert part == greedy_partition_oracle(cfg, cols, y, phat)
+
+    @_PROPERTY
+    @given(_search_inputs(), st.sampled_from([np.exp, lambda v: v**3 + v, lambda v: 3.0 * v - 7.0]))
+    def test_membership_invariant_under_increasing_transform(self, inputs, transform):
+        cfg, cols, y, phat = inputs
+        part = _partition_or_skip(cfg, cols, y, phat)
+        moved = dict(cols, c0=transform(cols["c0"]))
+        assert np.array_equal(assign_groups(greedy_partition(cfg, moved, y, phat), moved),
+                              assign_groups(part, cols))
 
 
 class TestAssignGroups:
