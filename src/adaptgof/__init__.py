@@ -33,7 +33,6 @@ from .gof import (
     single_split_test,
 )
 from .numkit import (
-    EmpiricalQuantileSet,
     RandomSource,
     chi2_sf,
     empirical_quantiles,
@@ -95,7 +94,6 @@ __all__ = [
     "multi_split_test",
     "report_to_dict",
     "single_split_test",
-    "EmpiricalQuantileSet",
     "RandomSource",
     "chi2_sf",
     "empirical_quantiles",

@@ -27,11 +27,11 @@ import numpy as np
 
 from . import __version__
 from .data import CONTINUOUS, DISCRETE, Dataset
-from .formula import FormulaError, parse_formula
+from .formula import FormulaError, design_matrix, parse_formula
 from .glm import fit_logistic, predict_prob
 from .gof import TestConfig, hl_test, multi_split_test, report_to_dict
 from .numkit import RandomSource
-from .sim import SETTINGS, default_variants, make_setting, run_experiment
+from .sim import SETTINGS, MethodSpec, default_variants, make_setting, run_experiment
 
 __all__ = ["main", "parse_csv", "run_test_command", "run_experiment_command", "CliError", "RunConfig"]
 
@@ -114,17 +114,20 @@ def parse_csv(path: str, response: str, overrides: dict | None = None) -> Datase
         if name == response:
             continue
         values = cells[name]
-        numeric = all(_is_number(v) for v in values)
-        kind = overrides.get(name, CONTINUOUS if numeric else DISCRETE)
+        try:
+            numbers = np.array([float(v) for v in values])
+        except ValueError:
+            numbers = None
+        kind = overrides.get(name, DISCRETE if numbers is None else CONTINUOUS)
         if kind == CONTINUOUS:
-            if not numeric:
+            if numbers is None:
                 bad = next(i for i, v in enumerate(values, start=2) if not _is_number(v))
                 raise CliError(
                     f"column {name!r} was declared continuous but row {bad} "
                     f"holds a non-numeric value"
                 )
-            columns[name] = np.array([float(v) for v in values])
-            finite &= np.isfinite(columns[name])
+            columns[name] = numbers
+            finite &= np.isfinite(numbers)
         else:
             columns[name] = np.array(values, dtype=object)
         kinds[name] = kind
@@ -281,8 +284,6 @@ def run_hl_command(config: RunConfig, groups: int) -> int:
     dataset = parse_csv(config.input, config.response)
     try:
         formula = parse_formula(config.formula)
-        from .formula import design_matrix
-
         x = design_matrix(dataset, formula)
         model = fit_logistic(x, dataset.y)
     except (FormulaError, ValueError) as exc:
@@ -335,17 +336,10 @@ def run_experiment_command(args) -> int:
     methods = []
     for label in args.methods.split(","):
         label = label.strip().lower()
-        base = dict(splits=args.splits)
-        if label == "hl-a":
-            methods.append(_method("hl", "A", **base))
-        elif label == "hl-b":
-            methods.append(_method("hl", "B", **base))
-        elif label == "bag-a":
-            methods.append(_method("bag", "A", **base))
-        elif label == "bag-b":
-            methods.append(_method("bag", "B", **base))
-        else:
+        kind, _, model = label.partition("-")
+        if kind not in ("hl", "bag") or model not in ("a", "b"):
             raise CliError(f"unknown method {label!r}; use hl-a, hl-b, bag-a, bag-b")
+        methods.append(MethodSpec(kind, model.upper(), splits=args.splits))
 
     rng = RandomSource(seed)
     try:
@@ -395,12 +389,6 @@ def run_experiment_command(args) -> int:
         print(f"{variant or '(none)':<16}{cells}")
     print(f"results written to {csv_path}")
     return 0
-
-
-def _method(kind, model, splits):
-    from .sim import MethodSpec
-
-    return MethodSpec(kind, model, splits=splits)
 
 
 # ---------------------------------------------------------------------------

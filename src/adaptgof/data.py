@@ -72,12 +72,3 @@ class Dataset:
         cols[name] = np.asarray(values)
         kinds[name] = kind
         return Dataset(y=self.y, columns=cols, kinds=kinds)
-
-    def take(self, idx) -> "Dataset":
-        """Row subset by integer index array."""
-        idx = np.asarray(idx, dtype=int)
-        return Dataset(
-            y=self.y[idx],
-            columns={n: v[idx] for n, v in self.columns.items()},
-            kinds=dict(self.kinds),
-        )

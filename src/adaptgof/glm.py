@@ -5,6 +5,11 @@ step-halving), plus predictions and the observed Fisher information. The fit is
 deliberately plain: no penalty, logit link only. Separation is not detected
 specially -- the iteration cap together with probability clamping yields a
 usable (if extreme) fit, and ``converged=False`` is surfaced to callers.
+
+One kernel, ``_clamped_logistic``, turns linear predictors into clamped
+probabilities for the fit, for ``predict_prob`` and for the statistic's
+gradient in ``gof``. Each IRLS step evaluates ``x @ beta`` once per candidate
+and carries the accepted candidate's predictor and log-likelihood forward.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import lapack
 
 __all__ = [
     "DesignMatrix",
@@ -86,22 +91,42 @@ class FittedGlm:
     ll_path: tuple
 
 
-def _logistic(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta, dtype=float)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ex = np.exp(eta[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _clamped_logistic(eta: np.ndarray) -> np.ndarray:
+    """logistic(eta) clamped to [PROB_CLAMP, 1 - PROB_CLAMP]: the package's one kernel.
+
+    Branch-free: with e = exp(-|eta|), the logistic is 1 / (1 + e) where
+    eta >= 0 and e / (1 + e) elsewhere, so no exponential overflows.
+    """
+    e = np.exp(-np.abs(eta))
+    prob = np.where(eta >= 0, 1.0, e)
+    prob /= 1.0 + e
+    np.maximum(prob, PROB_CLAMP, out=prob)
+    return np.minimum(prob, 1.0 - PROB_CLAMP, out=prob)
 
 
-def _clamp(p: np.ndarray) -> np.ndarray:
-    return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-
-
-def _log_likelihood(x: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
-    eta = x @ beta
+def _log_likelihood(y: np.ndarray, eta: np.ndarray) -> float:
     return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+
+
+def _weighted_gram(x: np.ndarray, prob: np.ndarray) -> np.ndarray:
+    """X' W X with W_ii = p_i (1 - p_i)."""
+    w = prob * (1.0 - prob)
+    return x.T @ (x * w[:, None])
+
+
+def _triangular_solves(upper: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve U' U z = b for an upper-triangular, Fortran-ordered U.
+
+    These are the LAPACK calls ``scipy.linalg.solve_triangular`` makes for
+    ``solve_triangular(U.T, b, lower=True)`` and then ``solve_triangular(U, z)``,
+    without its per-call validation.
+    """
+    z, info = lapack.dtrtrs(upper, b, lower=0, trans=1)
+    if info == 0:
+        z, info = lapack.dtrtrs(upper, z, lower=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
+    return z
 
 
 def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -115,8 +140,7 @@ def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         chol = np.linalg.cholesky(a)
         d = np.diagonal(chol)
         if d.min() ** 2 >= _PIVOT_RTOL * d.max() ** 2:
-            z = solve_triangular(chol, b, lower=True)
-            return solve_triangular(chol.T, z, lower=False)
+            return _triangular_solves(chol.T, b)
     except np.linalg.LinAlgError:
         pass
 
@@ -128,8 +152,11 @@ def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     perm = piv - 1
     lower = np.tril(c)
-    z = solve_triangular(lower, b[perm], lower=True)
-    z = solve_triangular(lower.T, z, lower=False)
+    rhs = b[perm]
+    # solve_triangular's finite check, kept on this rarely taken branch
+    if not (np.isfinite(lower).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    z = _triangular_solves(lower.T, rhs)
     out = np.empty_like(z)
     out[perm] = z
     return out
@@ -160,47 +187,48 @@ def fit_logistic(x: DesignMatrix, y) -> FittedGlm:
 
     grad_tol = 1e-8 * n
     beta = np.zeros(p)
-    ll = _log_likelihood(xv, yv, beta)
+    # eta, ll and (at the top of each step) prob always belong to beta: an
+    # accepted candidate hands its eta and ll on, so x @ beta is evaluated
+    # once per candidate.
+    eta = xv @ beta
+    ll = _log_likelihood(yv, eta)
     ll_path = [ll]
     converged = False
     iterations = 0
 
     for _ in range(_MAX_ITER):
-        prob = _clamp(_logistic(xv @ beta))
+        prob = _clamped_logistic(eta)
         grad = xv.T @ (yv - prob)
-        if np.max(np.abs(grad)) <= grad_tol:
+        if np.abs(grad).max() <= grad_tol:
             converged = True
             break
         iterations += 1
-        w = prob * (1.0 - prob)
-        info = xv.T @ (xv * w[:, None])
-        delta = _solve_spd(info, grad)
+        delta = _solve_spd(_weighted_gram(xv, prob), grad)
 
         step = 1.0
         accepted = False
         for _ in range(40):
             cand = beta + step * delta
-            ll_new = _log_likelihood(xv, yv, cand)
+            cand_eta = xv @ cand
+            ll_new = _log_likelihood(yv, cand_eta)
             if ll_new >= ll:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
-            break
-        beta = cand
-        ll = ll_new
+            break  # beta is unchanged, so prob is still its probabilities
+        beta, eta, ll = cand, cand_eta, ll_new
         ll_path.append(ll)
+    else:
+        prob = _clamped_logistic(eta)  # the cap was reached after an accepted step
 
-    prob = _clamp(_logistic(xv @ beta))
-    w = prob * (1.0 - prob)
-    info = xv.T @ (xv * w[:, None])
-    info = 0.5 * (info + info.T)
+    info = _weighted_gram(xv, prob)
     return FittedGlm(
         coef=beta,
         converged=converged,
         iterations=iterations,
-        fisher_info=info,
-        log_likelihood=_log_likelihood(xv, yv, beta),
+        fisher_info=0.5 * (info + info.T),
+        log_likelihood=ll,
         names=x.names,
         ll_path=tuple(ll_path),
     )
@@ -212,12 +240,10 @@ def predict_prob(model: FittedGlm, x: DesignMatrix) -> np.ndarray:
         raise ValueError(
             f"design has {x.ncol} columns but the model has {model.coef.shape[0]} coefficients"
         )
-    return _clamp(_logistic(x.values @ model.coef))
+    return _clamped_logistic(x.values @ model.coef)
 
 
 def observed_information(model: FittedGlm, x: DesignMatrix) -> np.ndarray:
     """Observed Fisher information X' W X at the fitted coefficients."""
-    prob = predict_prob(model, x)
-    w = prob * (1.0 - prob)
-    info = x.values.T @ (x.values * w[:, None])
+    info = _weighted_gram(x.values, predict_prob(model, x))
     return 0.5 * (info + info.T)

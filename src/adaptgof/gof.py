@@ -31,9 +31,10 @@ import numpy as np
 
 from .data import Dataset
 from .formula import Formula, design_matrix
-from .glm import DesignMatrix, FittedGlm, fit_logistic, predict_prob
+from .glm import DesignMatrix, FittedGlm, _clamped_logistic, fit_logistic, predict_prob
 from .numkit import RandomSource, chi2_sf, empirical_quantiles, gaussian_quantile
 from .partition import (
+    CoverageError,
     Partition,
     PartitionConfig,
     assign_groups,
@@ -155,16 +156,6 @@ class CorrectionResult:
     skipped: bool = False
 
 
-def _clamped_probs(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    eta = x @ beta
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ex = np.exp(eta[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return np.clip(out, 1e-10, 1.0 - 1e-10)
-
-
 def bag_gradient(model: FittedGlm, x_test: DesignMatrix, y_test, group_idx, k: int) -> np.ndarray:
     """Gradient of the statistic with respect to the coefficients.
 
@@ -178,7 +169,7 @@ def bag_gradient(model: FittedGlm, x_test: DesignMatrix, y_test, group_idx, k: i
     g = np.asarray(group_idx, dtype=int)
 
     def stat_at(b):
-        return grouped_chi2(yv, _clamped_probs(xv, b), g, k)[0]
+        return grouped_chi2(yv, _clamped_logistic(xv @ b), g, k)[0]
 
     grad = np.empty_like(beta)
     for j in range(beta.size):
@@ -478,9 +469,11 @@ def multi_split_test(
     """Run the adaptive test with multiple random splits.
 
     Each split runs on its own child stream of ``rng``. Splits whose fit did
-    not converge or that raised (separation, degenerate partitions, ...) are
-    excluded from the median and counted as failed; when more than half the
-    splits fail the report is inconclusive.
+    not converge or that raised a split-dependent error (``ValueError`` such
+    as a single-class training set or an infeasible partition,
+    ``CoverageError``, ``LinAlgError``) are excluded from the median and
+    counted as failed; when more than half the splits fail the report is
+    inconclusive. Other exceptions propagate.
     """
     x_full = design_matrix(dataset, mta)
     plan = _plan(config, dataset)
@@ -489,7 +482,11 @@ def multi_split_test(
         child = rng.child(("split", i))
         try:
             out = _split_once(dataset, x_full, config, plan, child)
-        except Exception as exc:  # noqa: BLE001 -- any split failure is recorded, not raised
+        # Failures that depend on the rows a split draws: ValueError covers a
+        # single response class, rank deficiency, an infeasible partition and
+        # the bag_statistic checks. Anything else (TypeError, IndexError, ...)
+        # is a bug and propagates instead of being counted as a failed split.
+        except (ValueError, CoverageError, np.linalg.LinAlgError) as exc:
             out = SplitOutcome.failure(f"{type(exc).__name__}: {exc}")
         outcomes.append(out)
 

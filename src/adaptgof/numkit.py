@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
@@ -24,7 +23,6 @@ __all__ = [
     "gaussian_cdf",
     "gaussian_quantile",
     "empirical_quantiles",
-    "EmpiricalQuantileSet",
     "RandomSource",
 ]
 
@@ -187,32 +185,7 @@ def _lower_quantile_index(n: int, probs: np.ndarray) -> np.ndarray:
     """Positions in a sorted sample of size n of its lower ``probs`` quantiles."""
     # The small slack guards against 0.25 * 100 evaluating to 25.000000000000004.
     idx = np.ceil(n * probs - 1e-9).astype(int) - 1
-    return np.clip(idx, 0, n - 1)
-
-
-@dataclass(frozen=True)
-class EmpiricalQuantileSet:
-    """A sorted sample together with probe probabilities in (0, 1)."""
-
-    values: tuple
-    probs: tuple
-
-    @classmethod
-    def from_sample(cls, values, probs) -> "EmpiricalQuantileSet":
-        v = tuple(sorted(float(x) for x in np.asarray(values, dtype=float).ravel()))
-        ps = tuple(float(p) for p in np.atleast_1d(probs))
-        if not v:
-            raise ValueError("empty sample")
-        if any(p <= 0.0 or p >= 1.0 for p in ps):
-            raise ValueError("probe probabilities must lie strictly in (0, 1)")
-        return cls(values=v, probs=ps)
-
-    def quantile(self, p: float) -> float:
-        return float(empirical_quantiles(self.values, [p])[0])
-
-    @property
-    def quantiles(self) -> np.ndarray:
-        return empirical_quantiles(self.values, list(self.probs))
+    return np.minimum(np.maximum(idx, 0), n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ import math
 from collections import deque
 
 import numpy as np
+from scipy.linalg import lapack, solve_triangular
 
+from adaptgof.glm import FittedGlm, RankDeficiencyError, SingleClassError
 from adaptgof.partition import (
     AxisRule,
     Group,
@@ -18,6 +20,7 @@ from adaptgof.partition import (
     MissingColumnError,
     Partition,
     candidate_discrete_splits,
+    grouped_chi2,
 )
 
 # ---------------------------------------------------------------------------
@@ -293,3 +296,142 @@ def greedy_partition_oracle(config, columns, y, phat):
     groups = tuple(Group(rules=r, train_count=int(i.size)) for i, r in nodes)
     used = sorted({rule.source for g in groups for rule in g.rules})
     return Partition(groups=groups, sources=tuple(used))
+
+
+# ---------------------------------------------------------------------------
+# The IRLS fit before the single-kernel rewrite
+# ---------------------------------------------------------------------------
+#
+# Masked logistic, np.clip, scipy's solve_triangular, and x @ beta evaluated
+# again for every probability, log-likelihood and the final information. The
+# fit, predict_prob and bag_gradient must reproduce these bit for bit.
+
+
+def _logistic_oracle(eta):
+    out = np.empty_like(eta, dtype=float)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    ex = np.exp(eta[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _clamp_oracle(p):
+    return np.clip(p, 1e-10, 1.0 - 1e-10)
+
+
+def _log_likelihood_oracle(x, y, beta):
+    eta = x @ beta
+    return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+
+
+def _solve_spd_oracle(a, b):
+    try:
+        chol = np.linalg.cholesky(a)
+        d = np.diagonal(chol)
+        if d.min() ** 2 >= 1e-12 * d.max() ** 2:
+            z = solve_triangular(chol, b, lower=True)
+            return solve_triangular(chol.T, z, lower=False)
+    except np.linalg.LinAlgError:
+        pass
+
+    tol = 1e-12 * max(float(np.max(np.diagonal(a))), np.finfo(float).tiny)
+    c, piv, rank, _info = lapack.dpstrf(a, lower=1, tol=tol)
+    if rank < a.shape[0]:
+        raise RankDeficiencyError(
+            f"weighted normal equations are numerically singular (rank {rank} of {a.shape[0]})"
+        )
+    perm = piv - 1
+    lower = np.tril(c)
+    z = solve_triangular(lower, b[perm], lower=True)
+    z = solve_triangular(lower.T, z, lower=False)
+    out = np.empty_like(z)
+    out[perm] = z
+    return out
+
+
+def fit_logistic_oracle(x, y):
+    """IRLS with step-halving, as ``fit_logistic`` computed it before the rewrite."""
+    yv = np.asarray(y, dtype=float).ravel()
+    xv = x.values
+    n, p = xv.shape
+    if yv.shape[0] != n:
+        raise ValueError(f"response length {yv.shape[0]} does not match {n} design rows")
+    if not np.all(np.isin(yv, (0.0, 1.0))):
+        raise ValueError("response entries must be 0 or 1")
+    if yv.min() == yv.max():
+        raise SingleClassError("both response classes must be present")
+    if n < p:
+        raise ValueError(f"need at least as many rows ({n}) as columns ({p})")
+
+    grad_tol = 1e-8 * n
+    beta = np.zeros(p)
+    ll = _log_likelihood_oracle(xv, yv, beta)
+    ll_path = [ll]
+    converged = False
+    iterations = 0
+
+    for _ in range(100):
+        prob = _clamp_oracle(_logistic_oracle(xv @ beta))
+        grad = xv.T @ (yv - prob)
+        if np.max(np.abs(grad)) <= grad_tol:
+            converged = True
+            break
+        iterations += 1
+        w = prob * (1.0 - prob)
+        info = xv.T @ (xv * w[:, None])
+        delta = _solve_spd_oracle(info, grad)
+
+        step = 1.0
+        accepted = False
+        for _ in range(40):
+            cand = beta + step * delta
+            ll_new = _log_likelihood_oracle(xv, yv, cand)
+            if ll_new >= ll:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        beta = cand
+        ll = ll_new
+        ll_path.append(ll)
+
+    prob = _clamp_oracle(_logistic_oracle(xv @ beta))
+    w = prob * (1.0 - prob)
+    info = xv.T @ (xv * w[:, None])
+    info = 0.5 * (info + info.T)
+    return FittedGlm(
+        coef=beta,
+        converged=converged,
+        iterations=iterations,
+        fisher_info=info,
+        log_likelihood=_log_likelihood_oracle(xv, yv, beta),
+        names=x.names,
+        ll_path=tuple(ll_path),
+    )
+
+
+def predict_prob_oracle(model, x):
+    return _clamp_oracle(_logistic_oracle(x.values @ model.coef))
+
+
+def bag_gradient_oracle(model, x_test, y_test, group_idx, k):
+    """Central differences of the statistic through the masked logistic and np.clip."""
+    beta = np.asarray(model.coef, dtype=float)
+    xv = x_test.values
+    yv = np.asarray(y_test, dtype=float)
+    g = np.asarray(group_idx, dtype=int)
+
+    def stat_at(b):
+        return grouped_chi2(yv, _clamp_oracle(_logistic_oracle(xv @ b)), g, k)[0]
+
+    grad = np.empty_like(beta)
+    for j in range(beta.size):
+        h = 1e-5 * (1.0 + abs(beta[j]))
+        bp = beta.copy()
+        bm = beta.copy()
+        bp[j] += h
+        bm[j] -= h
+        grad[j] = (stat_at(bp) - stat_at(bm)) / (2.0 * h)
+    return grad

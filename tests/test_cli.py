@@ -77,6 +77,34 @@ class TestParseCsv:
         assert ds.n == 8
         assert ds.y.tolist() == [1, 0, 0, 1, 1, 0, 1, 0]
 
+    def test_mixed_types_columns(self):
+        ds = parse_csv(str(FIXTURES / "mixed_types.csv"), "outcome")
+        expected = {
+            "age": [34.0, 51.0, 42.0, 29.0, 63.0, 47.0, 38.0, 55.0],
+            "bmi": [22.5, 27.1, 31.0, 24.9, 28.4, 26.0, 23.3, 29.8],
+            "smoker": ["yes", "no", "no", "yes", "no", "yes", "no", "yes"],
+            "city": ["london", "paris", "london", "berlin", "paris", "berlin", "london", "paris"],
+            "visits": [3.0, 0.0, 2.0, 5.0, 1.0, 4.0, 2.0, 0.0],
+        }
+        assert list(ds.columns) == list(expected)
+        for name, values in expected.items():
+            col = ds.columns[name]
+            assert col.dtype == (object if ds.kinds[name] == "discrete" else np.float64)
+            assert col.tolist() == values
+        visits = parse_csv(str(FIXTURES / "mixed_types.csv"), "outcome",
+                           overrides={"visits": "discrete"}).columns["visits"]
+        assert visits.dtype == object
+        assert visits.tolist() == ["3", "0", "2", "5", "1", "4", "2", "0"]
+
+    def test_single_non_numeric_cell_names_its_row(self, tmp_path):
+        path = tmp_path / "one_word.csv"
+        rows = [f"{i % 2},{i * 0.5}" for i in range(8)]
+        rows[4] = "0,four"
+        path.write_text("y,x\n" + "\n".join(rows) + "\n")
+        assert parse_csv(str(path), "y").kinds == {"x": "discrete"}
+        with pytest.raises(CliError, match="'x' was declared continuous but row 6 "):
+            parse_csv(str(path), "y", overrides={"x": "continuous"})
+
     def test_override_to_discrete(self):
         ds = parse_csv(str(FIXTURES / "mixed_types.csv"), "outcome",
                        overrides={"visits": "discrete"})

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,14 +7,30 @@ from numpy.testing import assert_allclose
 
 from adaptgof import (
     DesignMatrix,
+    FittedGlm,
+    RandomSource,
     RankDeficiencyError,
     SingleClassError,
+    design_matrix,
     fit_logistic,
+    generate,
+    make_setting,
     observed_information,
     predict_prob,
 )
+from adaptgof import glm
+from adaptgof.gof import bag_gradient
+from adaptgof.sim import SETTINGS
 
-from _fixtures import LOGIT20_X, LOGIT20_Y, grid_search_mle_oracle, logistic_loglik_oracle
+from _fixtures import (
+    LOGIT20_X,
+    LOGIT20_Y,
+    bag_gradient_oracle,
+    fit_logistic_oracle,
+    grid_search_mle_oracle,
+    logistic_loglik_oracle,
+    predict_prob_oracle,
+)
 
 
 def intercept_only(n):
@@ -168,3 +185,118 @@ class TestObservedInformation:
         fit = fit_logistic(x, LOGIT20_Y)
         eigvals = np.linalg.eigvalsh(observed_information(fit, x))
         assert np.all(eigvals >= -1e-8)
+
+
+def _fit_exit(fit):
+    """How the IRLS loop ended: converged, iteration cap, or step-halving exhausted."""
+    if fit.converged:
+        return "converged"
+    return "cap" if len(fit.ll_path) == fit.iterations + 1 else "halving"
+
+
+def _separated_case(seed):
+    """Linearly separated rows with three covariates on scales from 0.1 to 1000."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 41))
+    cov = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-1, 3, size=3)
+    x = DesignMatrix(np.column_stack([np.ones(n), cov]), ("(Intercept)", "a", "b", "c"))
+    return x, (cov.sum(axis=1) > 0).astype(int)
+
+
+class TestFitMatchesOracle:
+    """The single-kernel fit reproduces the pre-rewrite fit bit for bit."""
+
+    def assert_same(self, x_train, y_train, x_test=None, y_test=None):
+        fit = fit_logistic(x_train, y_train)
+        expected = fit_logistic_oracle(x_train, y_train)
+        for f in dataclasses.fields(FittedGlm):
+            got, want = getattr(fit, f.name), getattr(expected, f.name)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), f.name
+            else:
+                assert got == want, f.name
+        assert np.array_equal(observed_information(fit, x_train), fit.fisher_info)
+        if x_test is not None:
+            assert np.array_equal(predict_prob(fit, x_test), predict_prob_oracle(expected, x_test))
+            k = 5
+            groups = np.arange(x_test.n) % k
+            assert np.array_equal(
+                bag_gradient(fit, x_test, y_test, groups, k),
+                bag_gradient_oracle(expected, x_test, y_test, groups, k),
+            )
+        return fit
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_training_splits_of_every_setting(self, setting):
+        spec = make_setting(setting, 500)
+        for seed in range(4):
+            ds = generate(spec, RandomSource(seed).child("data"))
+            perm = RandomSource(seed).child("split").permutation(ds.n)
+            train, test = np.sort(perm[:450]), np.sort(perm[450:])
+            for formula in (spec.model_a, spec.model_b):
+                full = design_matrix(ds, formula)
+                self.assert_same(
+                    DesignMatrix(full.values[train], full.names), ds.y[train],
+                    DesignMatrix(full.values[test], full.names), ds.y[test],
+                )
+
+    def test_large_nn_example_split(self):
+        spec = make_setting("nn-example", 20000)
+        ds = generate(spec, RandomSource(1).child("data"))
+        perm = RandomSource(1).child("split").permutation(ds.n)
+        train, test = np.sort(perm[:18000]), np.sort(perm[18000:])
+        full = design_matrix(ds, spec.model_b)
+        self.assert_same(
+            DesignMatrix(full.values[train], full.names), ds.y[train],
+            DesignMatrix(full.values[test], full.names), ds.y[test],
+        )
+
+    def test_intercept_only(self):
+        for y in ([1, 0, 0, 0, 1, 0, 0, 0], [1, 0] * 6, [0] * 29 + [1]):
+            x = intercept_only(len(y))
+            self.assert_same(x, y, intercept_only(3), [0, 1, 1])
+
+    def test_separated_data_covers_every_exit(self):
+        exits = set()
+        cases = [_separated_case(seed) for seed in (1, 4, 305, 332)]
+        line = np.linspace(-2, 2, 30)
+        cases.append((with_slope(line), (line > 0).astype(int)))
+        for x, y in cases:
+            exits.add(_fit_exit(self.assert_same(x, y, x, y)))
+        assert exits == {"converged", "cap", "halving"}
+
+    def test_near_singular_design_in_pivoted_branch(self, monkeypatch):
+        pivoted = []
+        dpstrf = glm.lapack.dpstrf
+
+        def spy(*args, **kwargs):
+            pivoted.append(True)
+            return dpstrf(*args, **kwargs)
+
+        monkeypatch.setattr(glm.lapack, "dpstrf", spy)
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=40)
+        x = DesignMatrix(np.column_stack([np.ones(40), a, a + 1e-9 * rng.normal(size=40)]),
+                         ("(Intercept)", "a", "a_near"))
+        y = (rng.random(40) < 0.5).astype(int)
+        with pytest.raises(RankDeficiencyError) as got:
+            fit_logistic(x, y)
+        with pytest.raises(RankDeficiencyError) as want:
+            fit_logistic_oracle(x, y)
+        assert str(got.value) == str(want.value)
+        assert pivoted
+
+    def test_pivoted_solves_when_plain_cholesky_fails(self, monkeypatch):
+        # No design found in a search of random near-collinear ones fails the
+        # plain Cholesky check yet passes the pivoted one, so the plain
+        # factorisation is made to fail for both fits.
+        def fail(a):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        spec = make_setting("3", 500)
+        ds = generate(spec, RandomSource(2).child("data"))
+        x = design_matrix(ds, spec.model_a)
+        self.assert_same(x, ds.y, x, ds.y)
+        sep_x, sep_y = _separated_case(305)
+        self.assert_same(sep_x, sep_y)

@@ -19,6 +19,7 @@ from adaptgof import (
     report_to_dict,
     single_split_test,
 )
+from adaptgof import gof
 from adaptgof.gof import (
     SplitOutcome,
     aggregate_p_values,
@@ -26,7 +27,7 @@ from adaptgof.gof import (
     decision_threshold,
 )
 from adaptgof.numkit import empirical_quantiles
-from adaptgof.partition import AxisRule, Group, Partition
+from adaptgof.partition import AxisRule, CoverageError, Group, Partition
 from adaptgof.sim import generate, make_setting
 
 from _fixtures import (
@@ -338,6 +339,31 @@ class TestMultiSplit:
         assert report.inconclusive
         assert report.reject is None
         assert report.n_failed == 6
+
+    @pytest.mark.parametrize("error", [ValueError, CoverageError, np.linalg.LinAlgError])
+    def test_split_dependent_errors_count_as_failed_splits(self, monkeypatch, error):
+        spec = make_setting("1", 200, beta3=0.651)
+        ds = generate(spec, RandomSource(10).child("data"))
+
+        def raise_error(*args, **kwargs):
+            raise error("raised by the layer")
+
+        monkeypatch.setattr(gof, "assign_groups", raise_error)
+        report = multi_split_test(ds, spec.model_b, TestConfig(splits=3),
+                                  RandomSource(10).child("m"))
+        assert report.n_failed == 3
+        assert all(o.error == f"{error.__name__}: raised by the layer" for o in report.outcomes)
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        spec = make_setting("1", 200, beta3=0.651)
+        ds = generate(spec, RandomSource(10).child("data"))
+
+        def broken(*args, **kwargs):
+            raise TypeError("a bug, not a split failure")
+
+        monkeypatch.setattr(gof, "assign_groups", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            multi_split_test(ds, spec.model_b, TestConfig(splits=3), RandomSource(10).child("m"))
 
     def test_unsatisfiable_sizes_raise_before_any_split(self):
         spec = make_setting("1", 200, beta3=0.651)

@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from adaptgof import (
-    EmpiricalQuantileSet,
     RandomSource,
     chi2_sf,
     empirical_quantiles,
@@ -121,12 +120,6 @@ class TestEmpiricalQuantiles:
             empirical_quantiles([], [0.5])
         with pytest.raises(ValueError):
             empirical_quantiles([1.0], [0.0])
-
-    def test_quantile_set_wrapper(self):
-        qs = EmpiricalQuantileSet.from_sample([3, 1, 2], (0.5,))
-        assert qs.values == (1.0, 2.0, 3.0)
-        assert qs.quantile(0.5) == 2.0
-        assert qs.quantiles.tolist() == [2.0]
 
 
 class TestRandomSource:
