@@ -437,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     hl.add_argument("--response", required=True)
     hl.add_argument("--formula", required=True)
     hl.add_argument("--groups", type=int, default=10, help="number of bins (default 10)")
-    hl.add_argument("--seed", type=int, default=None)
     hl.add_argument("--output", default=None)
 
     exp = subs.add_parser("experiment", help="reproduce the built-in size/power experiments")

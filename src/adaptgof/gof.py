@@ -7,7 +7,8 @@ Four layers, bottom to top:
 * ``bag_statistic`` / ``corrected_statistic``: the adaptive-grouping statistic
   on held-out test rows -- the sum over groups of squared standardized residual
   sums -- and its finite-sample correction, which subtracts a delta-method
-  standard-error term before the chi-squared comparison.
+  standard-error term before the chi-squared comparison. Both take their
+  per-group sums from the one kernel ``partition._group_contributions``.
 * ``single_split_test``: one train/test split end to end: fit the model on the
   training rows, choose a partition from training data only, evaluate the
   corrected statistic on the test rows against chi-squared with (realized)
@@ -37,6 +38,7 @@ from .partition import (
     CoverageError,
     Partition,
     PartitionConfig,
+    _group_contributions,
     assign_groups,
     greedy_partition,
     grouped_chi2,
@@ -104,20 +106,18 @@ def hl_test(y, phat, k: int = 10) -> HlResult:
 
     bounds = empirical_quantiles(p, [j / k for j in range(1, k)])
     groups = np.searchsorted(bounds, p, side="right")
-    stat = 0.0
-    for g in range(k):
-        mask = groups == g
-        n_g = int(mask.sum())
-        if n_g == 0:
-            continue
-        mean_p = float(p[mask].mean())
-        if mean_p <= 0.0 or mean_p >= 1.0:
-            return HlResult(
-                statistic=math.nan, k=k, df=k - 2, p_value=math.nan,
-                failed=True, reason=f"group mean probability {mean_p} is degenerate",
-            )
-        resid = float((y[mask] - p[mask]).sum())
-        stat += resid**2 / (n_g * mean_p * (1.0 - mean_p))
+    counts = np.bincount(groups, minlength=k)
+    live = counts > 0
+    n_g = counts[live]
+    mean_p = np.bincount(groups, weights=p, minlength=k)[live] / n_g
+    resid = np.bincount(groups, weights=y - p, minlength=k)[live]
+    degenerate = (mean_p <= 0.0) | (mean_p >= 1.0)
+    if np.any(degenerate):
+        return HlResult(
+            statistic=math.nan, k=k, df=k - 2, p_value=math.nan, failed=True,
+            reason=f"group mean probability {float(mean_p[degenerate][0])} is degenerate",
+        )
+    stat = float(np.sum(resid**2 / (n_g * mean_p * (1.0 - mean_p))))
     df = k - 2
     return HlResult(statistic=stat, k=k, df=df, p_value=chi2_sf(stat, df))
 
@@ -131,6 +131,7 @@ def hl_test(y, phat, k: int = 10) -> HlResult:
 class BagValue:
     statistic: float
     realized_k: int
+    contributions: tuple  # each group's term, 0.0 for an empty group
 
 
 def bag_statistic(y_test, phat_test, group_idx, k: int) -> BagValue:
@@ -143,10 +144,9 @@ def bag_statistic(y_test, phat_test, group_idx, k: int) -> BagValue:
         raise ValueError("empty test set")
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValueError("test probabilities must lie strictly in (0, 1)")
-    stat, realized = grouped_chi2(y_test, p, group_idx, k)
-    if realized == 0:
-        raise ValueError("all groups are empty")
-    return BagValue(statistic=stat, realized_k=realized)
+    contrib, live = _group_contributions(y_test, p, group_idx, k)
+    return BagValue(statistic=float(np.sum(contrib[live])), realized_k=int(live.sum()),
+                    contributions=tuple(contrib.tolist()))
 
 
 @dataclass(frozen=True)
@@ -291,16 +291,6 @@ def _rule_counts(partition: Partition) -> Counter:
     return Counter(rule.source for group in partition.groups for rule in group.rules)
 
 
-def _max_contribution_group(y, phat, group_idx, n_groups: int) -> int:
-    resid = np.bincount(group_idx, weights=np.asarray(y, float) - phat, minlength=n_groups)
-    var = np.bincount(group_idx, weights=phat * (1.0 - phat), minlength=n_groups)
-    counts = np.bincount(group_idx, minlength=n_groups)
-    contrib = np.zeros(n_groups)
-    live = counts > 0
-    contrib[live] = resid[live] ** 2 / var[live]
-    return int(np.argmax(contrib))
-
-
 def _plan(config: TestConfig, dataset: Dataset) -> tuple:
     """What every split of one test shares: ``(n_train, partition config, order)``.
 
@@ -376,8 +366,7 @@ def _split_once(
     bag = bag_statistic(dataset.y[test_idx], phat_test, groups, part.size)
     corr = corrected_statistic(bag, model, x_test, dataset.y[test_idx], groups)
     p_value = chi2_sf(corr.adjusted, bag.realized_k)
-
-    max_group = _max_contribution_group(dataset.y[test_idx], phat_test, groups, part.size)
+    max_group = int(np.argmax(bag.contributions))
     return SplitOutcome(
         statistic=bag.statistic,
         adjusted=corr.adjusted,

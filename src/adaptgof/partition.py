@@ -18,6 +18,10 @@ variance sums. Because a stable sort of a subset equals the parent's stable
 order restricted to that subset, those running sums are the ones a fresh
 per-node sort would give.
 
+Each group's term of the grouped chi-squared value, (residual sum)^2 /
+(variance sum), comes from one kernel, ``_group_contributions``, which
+``grouped_chi2``, ``criterion_b`` and ``gof.bag_statistic`` all share.
+
 Determinism matters here: ties in the cut search are broken first by larger
 criterion value, then by lexicographically smaller source name, then by
 smaller threshold (or smaller membership set).
@@ -163,14 +167,13 @@ class PartitionConfig:
     n_min: int
     continuous: tuple = ()
     discrete: tuple = ()
-    score: str | None = None
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("k must be at least 2")
         if self.n_min < 1:
             raise ValueError("n_min must be at least 1")
-        if not (self.continuous or self.discrete or self.score):
+        if not (self.continuous or self.discrete):
             raise ValueError("at least one splitting source must be named")
         object.__setattr__(self, "continuous", tuple(self.continuous))
         object.__setattr__(self, "discrete", tuple(self.discrete))
@@ -181,24 +184,31 @@ class PartitionConfig:
 # ---------------------------------------------------------------------------
 
 
+def _group_contributions(y, p, g, n_groups: int):
+    """Each group's (residual sum)^2 / (variance sum) and the non-empty groups.
+
+    Returns ``(contrib, live)``; an empty group contributes 0. ``n_groups`` is
+    only a minimum length: the arrays reach the largest label in ``g``.
+    """
+    p = np.asarray(p, dtype=float)
+    g = np.asarray(g, dtype=int)
+    resid_sums = np.bincount(g, weights=np.asarray(y, dtype=float) - p, minlength=n_groups)
+    var_sums = np.bincount(g, weights=p * (1.0 - p), minlength=n_groups)
+    live = np.bincount(g, minlength=n_groups) > 0
+    contrib = np.divide(resid_sums**2, var_sums, out=np.zeros(live.size), where=live)
+    return contrib, live
+
+
 def grouped_chi2(y, phat, group_idx, n_groups: int | None = None):
     """Sum over groups of (residual sum)^2 / (variance sum).
 
     Returns ``(statistic, realized)`` where ``realized`` counts non-empty
     groups; empty groups contribute zero.
     """
-    y = np.asarray(y, dtype=float)
-    p = np.asarray(phat, dtype=float)
-    g = np.asarray(group_idx, dtype=int)
-    if y.size == 0:
+    if np.size(y) == 0:
         raise ValueError("no rows to group")
-    k = int(n_groups) if n_groups is not None else int(g.max()) + 1
-    resid_sums = np.bincount(g, weights=y - p, minlength=k)
-    var_sums = np.bincount(g, weights=p * (1.0 - p), minlength=k)
-    counts = np.bincount(g, minlength=k)
-    live = counts > 0
-    stat = float(np.sum(resid_sums[live] ** 2 / var_sums[live]))
-    return stat, int(live.sum())
+    contrib, live = _group_contributions(y, phat, group_idx, n_groups or 0)
+    return float(np.sum(contrib[live])), int(live.sum())
 
 
 def criterion_b(y, phat, group_idx, n_groups: int | None = None) -> float:
@@ -351,10 +361,10 @@ def greedy_partition(
     group admits a cut. Every returned group holds at least ``config.n_min``
     training rows.
 
-    ``order`` maps every continuous source (including ``config.score``) to
-    the stable ascending order of its rows, as ``presort`` returns it; it is
-    computed here when not given. Each group's sorted rows are filtered from
-    its parent's, so no column is sorted more than once per call.
+    ``order`` maps every continuous source to the stable ascending order of
+    its rows, as ``presort`` returns it; it is computed here when not given.
+    Each group's sorted rows are filtered from its parent's, so no column is
+    sorted more than once per call.
 
     Raises:
         InfeasiblePartitionError: when even the root cannot be split.
@@ -367,10 +377,7 @@ def greedy_partition(
     resid = y - p
     var = p * (1.0 - p)
 
-    cont = list(config.continuous)
-    if config.score is not None:
-        cont.append(config.score)
-    sources = sorted(set(cont) | set(config.discrete))
+    sources = sorted(set(config.continuous) | set(config.discrete))
     is_discrete = {s: s in set(config.discrete) for s in sources}
     cols = {}
     for s in sources:

@@ -24,7 +24,6 @@ their fitted probabilities enter through ``score_injection``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,7 +270,6 @@ class ExperimentResult:
     reps: int
     failures: int
     seed: int
-    wall_time: float
 
 
 def _run_method(method: MethodSpec, dataset: Dataset, spec: SettingSpec,
@@ -279,7 +277,10 @@ def _run_method(method: MethodSpec, dataset: Dataset, spec: SettingSpec,
     formula = spec.model_a if method.model == "A" else spec.model_b
     if method.kind == "hl":
         x = design_matrix(dataset, formula)
-        model = fit_logistic(x, dataset.y)
+        try:
+            model = fit_logistic(x, dataset.y)
+        except ValueError:  # e.g. a replication with one response class
+            return None
         result = hl_test(dataset.y, predict_prob(model, x), k=method.k or 10)
         if result.failed:
             return None
@@ -297,14 +298,14 @@ def run_experiment(settings, methods, reps: int, rng: RandomSource,
 
     Every replication draws a fresh dataset on a child stream derived from
     (setting, variant, replication); all methods see the same data within a
-    replication. Failed replications (non-convergent fits, degenerate tests)
-    are excluded from the rate and reported in ``failures``.
+    replication. Failed replications (a full-data fit that raises, a
+    degenerate or inconclusive test) are excluded from the rate and reported
+    in ``failures``.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     results = []
     for spec in settings:
-        start = time.perf_counter()
         rejects = {m.label: 0 for m in methods}
         failures = {m.label: 0 for m in methods}
         for rep in range(reps):
@@ -318,7 +319,6 @@ def run_experiment(settings, methods, reps: int, rng: RandomSource,
                     failures[method.label] += 1
                 elif verdict:
                     rejects[method.label] += 1
-        elapsed = time.perf_counter() - start
         for method in methods:
             ok = reps - failures[method.label]
             rate = rejects[method.label] / ok if ok else float("nan")
@@ -326,7 +326,6 @@ def run_experiment(settings, methods, reps: int, rng: RandomSource,
                 setting=spec.setting, n=spec.n, variant=spec.variant,
                 method=method.label, rate=rate, reps=reps,
                 failures=failures[method.label], seed=rng.seed,
-                wall_time=elapsed,
             ))
     return results
 

@@ -224,8 +224,7 @@ def greedy_partition_oracle(config, columns, y, phat):
     resid = y - p
     var = p * (1.0 - p)
     n = y.size
-    cont = list(config.continuous) + ([config.score] if config.score is not None else [])
-    sources = sorted(set(cont) | set(config.discrete))
+    sources = sorted(set(config.continuous) | set(config.discrete))
     is_discrete = {s: s in set(config.discrete) for s in sources}
     cols = {}
     for s in sources:

@@ -294,6 +294,16 @@ class TestExperimentCommand:
         assert (out1 / "rates.csv").read_bytes() == (out2 / "rates.csv").read_bytes()
         assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
 
+    def test_one_class_replication_counts_as_failed(self, tmp_path):
+        # at n=50 some nn-example replications draw a single response class;
+        # the full-data hl fit cannot run there and must not end the experiment
+        outdir = tmp_path / "one-class"
+        code = main(["experiment", "--setting", "nn-example", "--n", "50", "--reps", "300",
+                     "--methods", "hl-a", "--seed", "1", "--outdir", str(outdir)])
+        assert code == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["failures"]["default/hl-a"] > 0
+
     def test_zero_reps_is_usage_error(self, tmp_path, capsys):
         code = main(["experiment", "--setting", "1", "--reps", "0",
                      "--outdir", str(tmp_path)])

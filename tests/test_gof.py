@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from adaptgof import (
@@ -74,6 +76,13 @@ class TestHlTest:
         assert result.failed
         assert math.isnan(result.p_value)
 
+    def test_reports_the_first_degenerate_group(self):
+        y = np.array([0] * 4 + [1] * 4 + [1] * 4)
+        phat = np.concatenate([np.zeros(4), np.full(4, 0.5), np.ones(4)])
+        result = hl_test(y, phat, k=3)
+        assert result.failed
+        assert result.reason == "group mean probability 0.0 is degenerate"
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             hl_test([0, 1], [0.5, 0.5], k=2)
@@ -120,6 +129,23 @@ class TestBagStatistic:
             parts += bag_statistic(BAG30_Y[mask], BAG30_PHAT[mask],
                                    np.zeros(mask.sum(), dtype=int), 1).statistic
         assert parts == pytest.approx(total, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_contributions_sum_to_statistic_and_vanish_on_empty_groups(self, data):
+        n = data.draw(st.integers(1, 60))
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        p = np.array(data.draw(st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n)))
+        g = np.array(data.draw(st.lists(st.integers(0, 7), min_size=n, max_size=n)))
+        k = data.draw(st.integers(1, 10))
+        out = bag_statistic(y, p, g, k)
+        contrib = np.array(out.contributions)
+        present = np.bincount(g, minlength=k) > 0
+        assert contrib.size == max(k, g.max() + 1)
+        assert np.all(contrib[~present] == 0.0)
+        assert np.all(contrib[present] > 0.0)
+        assert contrib.sum() == pytest.approx(out.statistic, rel=1e-12)
+        assert out.realized_k == present.sum()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -189,6 +215,19 @@ class TestCorrectedStatistic:
         out = corrected_statistic(bag, model, dmt, yt, groups)
         assert out.adjusted <= bag.statistic
         assert out.se > 0.0
+
+    def test_runs_when_a_test_group_is_empty(self):
+        # labels {0, 2} of a 3-group partition: realized_k = 2 reaches the
+        # gradient below the largest label, and nothing may be cut off
+        model, dmt, yt, groups = _toy_model_and_test()
+        phat = np.clip(1 / (1 + np.exp(-(dmt.values @ model.coef))), 1e-10, 1 - 1e-10)
+        bag = bag_statistic(yt, phat, 2 * groups, 3)
+        assert bag.realized_k == 2
+        assert bag.contributions[1] == 0.0
+        out = corrected_statistic(bag, model, dmt, yt, 2 * groups)
+        packed = bag_statistic(yt, phat, groups, 2)
+        assert bag.statistic == packed.statistic
+        assert out == corrected_statistic(packed, model, dmt, yt, groups)
 
     def test_singular_information_skips_correction(self):
         model, dmt, yt, groups = _toy_model_and_test()

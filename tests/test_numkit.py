@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from adaptgof import (
@@ -42,6 +44,16 @@ class TestChi2Sf:
         for k in (1, 4, 11):
             grid = [chi2_sf(x, k) for x in np.linspace(0.0, 60.0, 121)]
             assert all(a > b for a, b in zip(grid, grid[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 100), st.floats(0.0, 1e4), st.floats(0.0, 1e4))
+    def test_non_increasing_in_x_and_a_probability(self, k, a, b):
+        lo, hi = min(a, b), max(a, b)
+        upper, lower = chi2_sf(lo, k), chi2_sf(hi, k)
+        assert 0.0 <= lower <= 1.0 and 0.0 <= upper <= 1.0
+        # the last ulp is rounding: of adjacent floats the larger x reads
+        # higher about 8% of the time, so compare to rel 1e-12
+        assert lower <= upper * (1.0 + 1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -28,7 +28,7 @@ from adaptgof.cli import parse_csv
 from adaptgof.formula import design_matrix
 from adaptgof.glm import DesignMatrix
 from adaptgof.gof import TestConfig, default_train_size, single_split_test
-from adaptgof.partition import presort
+from adaptgof.partition import grouped_chi2, presort
 from adaptgof.sim import SETTINGS, generate, make_setting
 
 from _fixtures import (
@@ -61,6 +61,19 @@ class TestCriterionB:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             criterion_b([], [], [])
+
+
+class TestGroupedChi2:
+    def test_group_count_is_a_minimum_length(self):
+        # the correction passes realized_k, which an empty test group puts
+        # below the largest label; every group present must still count
+        y = np.array([1, 0, 1, 1, 0])
+        p = np.array([0.2, 0.4, 0.6, 0.3, 0.7])
+        g = np.array([0, 3, 3, 0, 3])
+        full = grouped_chi2(y, p, g, 4)
+        assert grouped_chi2(y, p, g, 2) == full
+        assert grouped_chi2(y, p, g) == full
+        assert full[1] == 2
 
 
 class TestCandidateThresholds:
@@ -363,6 +376,46 @@ class TestPartitionProperties:
         moved = dict(cols, c0=transform(cols["c0"]))
         assert np.array_equal(assign_groups(greedy_partition(cfg, moved, y, phat), moved),
                               assign_groups(part, cols))
+
+
+@st.composite
+def _grouped_rows(draw):
+    """Up to 60 rows with group labels 0..5."""
+    n = draw(st.integers(1, 60))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
+    p = np.array(draw(st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n)))
+    g = np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+    return y, p, g
+
+
+class TestGroupedChi2Properties:
+    @_PROPERTY
+    @given(_grouped_rows(), st.permutations(range(6)))
+    def test_invariant_under_relabelling(self, rows, perm):
+        y, p, g = rows
+        stat, realized = grouped_chi2(y, p, g, 6)
+        moved, moved_realized = grouped_chi2(y, p, np.array(perm)[g], 6)
+        assert moved == pytest.approx(stat, rel=1e-12)
+        assert moved_realized == realized
+
+    @_PROPERTY
+    @given(_grouped_rows(), _grouped_rows())
+    def test_additive_over_disjoint_blocks(self, first, second):
+        (y1, p1, g1), (y2, p2, g2) = first, second
+        whole, realized = grouped_chi2(np.concatenate([y1, y2]), np.concatenate([p1, p2]),
+                                       np.concatenate([g1, g2 + 6]))
+        parts = [grouped_chi2(y1, p1, g1), grouped_chi2(y2, p2, g2)]
+        assert whole == pytest.approx(parts[0][0] + parts[1][0], rel=1e-12)
+        assert realized == parts[0][1] + parts[1][1]
+
+    @_PROPERTY
+    @given(_grouped_rows())
+    def test_symmetric_under_swapping_the_classes(self, rows):
+        y, p, g = rows
+        # 1 - (1 - p) rounds, so a residual sum that cancels to ~1e-15 keeps
+        # only an absolute agreement; every other case agrees to rel 1e-12
+        assert grouped_chi2(1.0 - y, 1.0 - p, g)[0] == pytest.approx(
+            grouped_chi2(y, p, g)[0], rel=1e-12, abs=1e-12)
 
 
 class TestAssignGroups:
