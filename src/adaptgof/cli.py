@@ -8,9 +8,12 @@ Subcommands:
 
 Statistical rejection is not a process failure: completed runs exit 0
 regardless of the verdict; nonzero exits signal operational problems only.
-Every emitted file embeds (seed, config hash, package version) and contains no
-timing, so reruns with identical seed and configuration are byte-identical.
-The ADAPTGOF_SEED environment variable supplies the default seed.
+Every emitted file embeds the subcommand's flags (``run_config``), their hash
+and the package version, and contains no timing, so reruns with identical
+flags are byte-identical. The ADAPTGOF_SEED environment variable supplies the
+default seed of the subcommands that draw (``test``, ``diagnose`` and
+``experiment``); ``hl`` draws nothing, so its output holds no seed and its
+hash does not depend on the environment.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import __version__
@@ -33,7 +34,7 @@ from .gof import TestConfig, hl_test, multi_split_test, report_to_dict
 from .numkit import RandomSource
 from .sim import SETTINGS, MethodSpec, default_variants, make_setting, run_experiment
 
-__all__ = ["main", "parse_csv", "run_test_command", "run_experiment_command", "CliError", "RunConfig"]
+__all__ = ["main", "parse_csv", "run_test_command", "run_experiment_command", "CliError"]
 
 _SEED_ENV = "ADAPTGOF_SEED"
 
@@ -148,37 +149,17 @@ def _row_list(rows: list) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Echo of the flags that shape one test run (hashed into the report)."""
+def _run_config(args) -> dict:
+    """The subcommand's flags in flag order: what its report echoes and hashes.
 
-    input: str
-    response: str
-    formula: str
-    k: int
-    n_min: int | None
-    splits: int
-    alpha: float
-    train_size: int | None
-    train_fraction: float | None
-    partition: str
-    seed: int
-    output: str | None
-
-    def to_dict(self) -> dict:
-        return {
-            "input": self.input,
-            "response": self.response,
-            "formula": self.formula,
-            "k": self.k,
-            "n_min": self.n_min,
-            "splits": self.splits,
-            "alpha": self.alpha,
-            "train_size": self.train_size,
-            "train_fraction": self.train_fraction,
-            "partition": self.partition,
-            "seed": self.seed,
-        }
+    ``command``, ``output`` and ``top`` only route the output and are left
+    out; ``seed`` is resolved through ``_default_seed`` where the subcommand
+    has one.
+    """
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "output", "top")}
+    if "seed" in config:
+        config["seed"] = _default_seed(config["seed"])
+    return config
 
 
 def _config_hash(payload: dict) -> str:
@@ -224,39 +205,40 @@ def _write_json(path: str, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def run_test_command(config: RunConfig, top: int = 5, show_ranking: bool = False) -> int:
-    dataset = parse_csv(config.input, config.response)
+def run_test_command(args) -> int:
+    """``test`` and ``diagnose``: ``diagnose`` always prints the ranking."""
+    run_config = _run_config(args)
+    dataset = parse_csv(args.input, args.response)
     try:
-        formula = parse_formula(config.formula)
+        formula = parse_formula(args.formula)
     except FormulaError as exc:
         raise CliError(str(exc)) from exc
 
-    partition_by, score_column = _partition_settings(config.partition)
-    train = config.train_size
-    if train is None and config.train_fraction is not None:
-        train = int(config.train_fraction * dataset.n)
+    partition_by, score_column = _partition_settings(args.partition)
+    train = args.train_size
+    if train is None and args.train_fraction is not None:
+        train = int(args.train_fraction * dataset.n)
+    seed = run_config["seed"]
     try:
         test_config = TestConfig(
-            k=config.k,
-            n_min=config.n_min,
+            k=args.k,
+            n_min=args.n_min,
             train_size=train,
-            alpha=config.alpha,
-            splits=config.splits,
+            alpha=args.alpha,
+            splits=args.splits,
             partition_by=partition_by,
             score_column=score_column,
         )
-        report = multi_split_test(
-            dataset, formula, test_config, RandomSource(config.seed), seed=config.seed
-        )
+        report = multi_split_test(dataset, formula, test_config, RandomSource(seed), seed=seed)
     except (ValueError, KeyError) as exc:
         raise CliError(str(exc)) from exc
 
     payload = report_to_dict(report)
     payload["artifact"] = {"name": "adaptgof", "version": __version__}
-    payload["run_config"] = config.to_dict()
-    payload["config_hash"] = _config_hash(config.to_dict())
-    if config.output:
-        _write_json(config.output, payload)
+    payload["run_config"] = run_config
+    payload["config_hash"] = _config_hash(run_config)
+    if args.output:
+        _write_json(args.output, payload)
 
     if report.inconclusive:
         verdict = "INCONCLUSIVE"
@@ -266,12 +248,12 @@ def run_test_command(config: RunConfig, top: int = 5, show_ranking: bool = False
     print(f"median p:   {report.median_p:.6g}")
     print(f"threshold:  {report.threshold:.6g}  (alpha={report.alpha}, splits={report.splits})")
     print(f"failed:     {report.n_failed} of {report.splits} splits")
-    if show_ranking or report.reject:
+    if args.command == "diagnose" or report.reject:
         print(f"top covariates on partition boundaries (of {len(report.ranking)}):")
-        for name, total, max_grp in report.ranking[:top]:
+        for name, total, max_grp in report.ranking[: args.top]:
             print(f"  {name:<16} total={total:<6} max-contribution-group={max_grp}")
-    if config.output:
-        print(f"report written to {config.output}")
+    if args.output:
+        print(f"report written to {args.output}")
     return 0
 
 
@@ -280,15 +262,16 @@ def run_test_command(config: RunConfig, top: int = 5, show_ranking: bool = False
 # ---------------------------------------------------------------------------
 
 
-def run_hl_command(config: RunConfig, groups: int) -> int:
-    dataset = parse_csv(config.input, config.response)
+def run_hl_command(args) -> int:
+    run_config = _run_config(args)
+    dataset = parse_csv(args.input, args.response)
     try:
-        formula = parse_formula(config.formula)
+        formula = parse_formula(args.formula)
         x = design_matrix(dataset, formula)
         model = fit_logistic(x, dataset.y)
+        result = hl_test(dataset.y, predict_prob(model, x), k=args.groups)
     except (FormulaError, ValueError) as exc:
         raise CliError(str(exc)) from exc
-    result = hl_test(dataset.y, predict_prob(model, x), k=groups)
     payload = {
         "test": "quantile-binned chi-squared",
         "statistic": result.statistic,
@@ -297,12 +280,12 @@ def run_hl_command(config: RunConfig, groups: int) -> int:
         "p_value": result.p_value,
         "failed": result.failed,
         "converged": model.converged,
-        "run_config": {**config.to_dict(), "groups": groups},
-        "config_hash": _config_hash({**config.to_dict(), "groups": groups}),
+        "run_config": run_config,
+        "config_hash": _config_hash(run_config),
         "artifact": {"name": "adaptgof", "version": __version__},
     }
-    if config.output:
-        _write_json(config.output, payload)
+    if args.output:
+        _write_json(args.output, payload)
     if result.failed:
         print(f"test failed: {result.reason}")
     else:
@@ -426,6 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     test = subs.add_parser("test", help="run the adaptive multi-split test on CSV data")
     _add_test_flags(test)
+    test.set_defaults(top=5)  # ranking rows printed when the test rejects
 
     diag = subs.add_parser("diagnose", help="run the test and rank covariates by "
                                             "partition-boundary counts")
@@ -455,36 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config_from_args(args) -> RunConfig:
-    return RunConfig(
-        input=args.input,
-        response=args.response,
-        formula=args.formula,
-        k=getattr(args, "k", 5),
-        n_min=getattr(args, "n_min", None),
-        splits=getattr(args, "splits", 100),
-        alpha=getattr(args, "alpha", 0.05),
-        train_size=getattr(args, "train_size", None),
-        train_fraction=getattr(args, "train_fraction", None),
-        partition=getattr(args, "partition", "covariates"),
-        seed=_default_seed(getattr(args, "seed", None)),
-        output=args.output,
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run = {"test": run_test_command, "diagnose": run_test_command,
+           "hl": run_hl_command, "experiment": run_experiment_command}[args.command]
     try:
-        if args.command == "test":
-            return run_test_command(_run_config_from_args(args))
-        if args.command == "diagnose":
-            return run_test_command(_run_config_from_args(args), top=args.top,
-                                    show_ranking=True)
-        if args.command == "hl":
-            return run_hl_command(_run_config_from_args(args), groups=args.groups)
-        if args.command == "experiment":
-            return run_experiment_command(args)
-        raise CliError(f"unknown command {args.command!r}")
+        return run(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -250,6 +250,8 @@ class TestConfig:
     discrete: tuple | None = None     # defaults to all discrete columns
 
     def __post_init__(self):
+        if self.k < 2:
+            raise ValueError("k must be at least 2")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.splits < 1:

@@ -176,9 +176,6 @@ class RandomSource:
         word = int.from_bytes(digest, "big")
         return RandomSource(self.seed, self._key + (word >> 32, word & 0xFFFFFFFF))
 
-    def describe(self) -> str:
-        return f"seed={self.seed} path={self._key!r}"
-
     # -- draws --------------------------------------------------------------
 
     def random(self, size=None):

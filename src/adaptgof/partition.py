@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import _lower_quantile_index, empirical_quantiles
+from .numkit import _lower_quantile_index
 
 __all__ = [
     "AxisRule",
@@ -252,11 +252,21 @@ def _threshold_cuts(srt: np.ndarray, n_min: int) -> tuple:
     rho = n0 // n_min
     if rho < 2:
         return np.empty(0, dtype=int), np.empty(0)
-    qs = srt[_lower_quantile_index(n0, np.arange(1, rho) / rho)]
-    qs = qs[np.concatenate(([True], qs[1:] > qs[:-1]))]
-    left = np.searchsorted(srt, qs, side="right")
+    left, qs = _quantile_cuts(srt, rho)
     keep = (left >= n_min) & (n0 - left >= n_min)
     return left[keep], qs[keep]
+
+
+def _quantile_cuts(srt: np.ndarray, k: int) -> tuple:
+    """The distinct j/k lower quantiles (j = 1..k-1) of an ascending sample.
+
+    Returns ``(left, qs)``: ``qs`` ascending and ``left`` the number of
+    values ``<=`` each. ``_threshold_cuts`` and ``probability_partition``
+    both cut at these.
+    """
+    qs = srt[_lower_quantile_index(srt.size, np.arange(1, k) / k)]
+    qs = qs[np.concatenate(([True], qs[1:] > qs[:-1]))]
+    return np.searchsorted(srt, qs, side="right"), qs
 
 
 def candidate_discrete_splits(labels, n_min: int, residuals=None) -> list:
@@ -488,30 +498,23 @@ def probability_partition(scores, k: int, source: str = "score") -> Partition:
         raise ValueError("empty score sample")
     if np.any(s < 0.0) or np.any(s > 1.0):
         raise ValueError("scores must lie in [0, 1]")
-    qs = empirical_quantiles(s, [j / k for j in range(1, k)])
-    thresholds = []
-    for t in qs:
-        t = float(t)
-        if not thresholds or t > thresholds[-1]:
-            thresholds.append(t)
-    # Boundary thresholds equal to the max score would leave an empty top
-    # interval; drop them.
-    thresholds = [t for t in thresholds if t < float(s.max())]
+    left, qs = _quantile_cuts(np.sort(s), k)
+    # A threshold at the max score would leave an empty top interval; drop it.
+    keep = left < s.size
+    thresholds = qs[keep].tolist()
     if not thresholds:
         return Partition(
             groups=(Group(rules=(), train_count=int(s.size)),),
             sources=(source,),
             degenerate=True,
         )
+    counts = np.diff(left[keep], prepend=0, append=s.size).tolist()
     groups = []
-    for i in range(len(thresholds) + 1):
+    for i, count in enumerate(counts):
         rules = []
         if i > 0:
             rules.append(AxisRule(source, "gt", threshold=thresholds[i - 1]))
         if i < len(thresholds):
             rules.append(AxisRule(source, "le", threshold=thresholds[i]))
-        lo = -np.inf if i == 0 else thresholds[i - 1]
-        hi = np.inf if i == len(thresholds) else thresholds[i]
-        count = int(np.sum((s > lo) & (s <= hi)))
         groups.append(Group(rules=tuple(rules), train_count=count))
     return Partition(groups=tuple(groups), sources=(source,))

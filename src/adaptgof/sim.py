@@ -78,7 +78,7 @@ def default_variants(setting: str) -> list:
 
 
 def make_setting(setting: str, n: int, *, beta3: float | None = None,
-                 chi2_df: int | None = None, beta0: float | None = None) -> SettingSpec:
+                 chi2_df: int | None = None) -> SettingSpec:
     """Resolve a design id plus variant parameters into a full specification."""
     setting = str(setting)
     if n < 50:
@@ -91,7 +91,7 @@ def make_setting(setting: str, n: int, *, beta3: float | None = None,
                         ("x2", CONTINUOUS, ("normal", 0.0, 2.25)),
                         ("x3", CONTINUOUS, ("chisq", 4))),
             derived=(),
-            beta0=0.0 if beta0 is None else float(beta0),
+            beta0=0.0,
             true_terms=(("x1", 0.267), ("x2", 0.267), ("x3", b3)),
             model_a=parse_formula("x1 + x2 + x3"),
             model_b=parse_formula("x1 + x2"),
@@ -103,7 +103,7 @@ def make_setting(setting: str, n: int, *, beta3: float | None = None,
             covariates=(("x1", CONTINUOUS, ("uniform", -3.0, 3.0)),
                         ("x2", CONTINUOUS, ("uniform", -3.0, 3.0))),
             derived=(("x3", "product", ("x1", "x2")),),
-            beta0=0.0 if beta0 is None else float(beta0),
+            beta0=0.0,
             true_terms=(("x1", 0.3), ("x2", 0.3), ("x1*x2", b3)),
             model_a=parse_formula("x1 + x2 + x1*x2"),
             model_b=parse_formula("x1 + x2"),
@@ -116,7 +116,7 @@ def make_setting(setting: str, n: int, *, beta3: float | None = None,
                         ("x2", CONTINUOUS, ("normal", 0.0, 2.25)),
                         ("x3", CONTINUOUS, ("chisq", df))),
             derived=(("x4", "square", ("x1",)),),
-            beta0=-2.0 if beta0 is None else float(beta0),
+            beta0=-2.0,
             true_terms=(("x1", 0.3), ("x2", 0.3), ("x3", 0.3), ("x1^2", 0.3)),
             model_a=parse_formula("x1 + x2 + x3 + x1^2"),
             model_b=parse_formula("x1 + x2 + x3"),
@@ -127,7 +127,7 @@ def make_setting(setting: str, n: int, *, beta3: float | None = None,
             covariates=(("x1", CONTINUOUS, ("normal", 0.0, 2.25)),
                         ("x2", CONTINUOUS, ("chisq", 4))),
             derived=(),
-            beta0=0.0 if beta0 is None else float(beta0),
+            beta0=0.0,
             true_terms=(("x1", 0.267), ("x2", 0.267)),
             model_a=parse_formula("x1 + x2"),
             model_b=parse_formula("x1"),
@@ -138,7 +138,7 @@ def make_setting(setting: str, n: int, *, beta3: float | None = None,
             covariates=(("x1", CONTINUOUS, ("uniform", -3.0, 3.0)),
                         ("x2", CONTINUOUS, ("chisq", 2))),
             derived=(),
-            beta0=-2.0 if beta0 is None else float(beta0),
+            beta0=-2.0,
             true_terms=(("x1", 0.3), ("x2", 0.3), ("x1^2", 0.3)),
             model_a=parse_formula("x1 + x2 + x1^2"),
             model_b=parse_formula("x1 + x2"),
@@ -154,7 +154,7 @@ def make_setting(setting: str, n: int, *, beta3: float | None = None,
                         ("x6", DISCRETE, ("bernoulli", 0.5)),
                         ("x7", CONTINUOUS, ("normal", 0.0, 4.0))),
             derived=(),
-            beta0=-0.15 if beta0 is None else float(beta0),
+            beta0=-0.15,
             true_terms=(("x1", 0.3), ("x2", 0.3), ("x3", 0.1), ("x4", 0.2),
                         ("x5", 0.2), ("x6", 0.3), ("x7", 0.3), ("x7^4", 3.0)),
             model_a=parse_formula("x1 + x2 + x3 + x4 + x5 + x6 + x7 + x7^4"),
@@ -281,6 +281,8 @@ def _run_method(method: MethodSpec, dataset: Dataset, spec: SettingSpec,
             model = fit_logistic(x, dataset.y)
         except ValueError:  # e.g. a replication with one response class
             return None
+        if not model.converged:  # e.g. separation; bag drops such splits too
+            return None
         result = hl_test(dataset.y, predict_prob(model, x), k=method.k or 10)
         if result.failed:
             return None
@@ -298,9 +300,9 @@ def run_experiment(settings, methods, reps: int, rng: RandomSource,
 
     Every replication draws a fresh dataset on a child stream derived from
     (setting, variant, replication); all methods see the same data within a
-    replication. Failed replications (a full-data fit that raises, a
-    degenerate or inconclusive test) are excluded from the rate and reported
-    in ``failures``.
+    replication. Failed replications (a full-data fit that raises or does not
+    converge, a degenerate or inconclusive test) are excluded from the rate
+    and reported in ``failures``.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")

@@ -209,6 +209,37 @@ def _thresholds_oracle(values, n_min):
     return out
 
 
+def probability_partition_oracle(scores, k, source="score"):
+    """Quantile intervals of a score sample, one loop per threshold and group.
+
+    Thresholds are the deduplicated j/k lower quantiles that lie below the
+    largest score; each group's count is a masked pass over the sample.
+    """
+    s = np.asarray(scores, dtype=float)
+    srt = np.sort(s)
+    n = srt.size
+    thresholds = []
+    for j in range(1, k):
+        t = float(srt[min(max(math.ceil(n * (j / k) - 1e-9) - 1, 0), n - 1)])
+        if not thresholds or t > thresholds[-1]:
+            thresholds.append(t)
+    thresholds = [t for t in thresholds if t < float(s.max())]
+    if not thresholds:
+        return Partition(groups=(Group(rules=(), train_count=n),), sources=(source,),
+                         degenerate=True)
+    groups = []
+    for i in range(len(thresholds) + 1):
+        rules = []
+        if i > 0:
+            rules.append(AxisRule(source, "gt", threshold=thresholds[i - 1]))
+        if i < len(thresholds):
+            rules.append(AxisRule(source, "le", threshold=thresholds[i]))
+        lo = -np.inf if i == 0 else thresholds[i - 1]
+        hi = np.inf if i == len(thresholds) else thresholds[i]
+        groups.append(Group(rules=tuple(rules), train_count=int(np.sum((s > lo) & (s <= hi)))))
+    return Partition(groups=tuple(groups), sources=(source,))
+
+
 def greedy_partition_oracle(config, columns, y, phat):
     """The greedy covariate search with a fresh sort of every node and column.
 

@@ -192,6 +192,20 @@ class TestTestCommand:
         assert "test size 2 is below k = 5" in captured.err
         assert "INCONCLUSIVE" not in captured.out
 
+    @pytest.mark.parametrize("partition", ["covariates", "mta-prob", "score:s"])
+    def test_k_below_two_is_an_error(self, tmp_path, capsys, partition):
+        # every split would fail the same way, so the command fails once
+        # instead of reporting INCONCLUSIVE
+        path = tmp_path / "scored.csv"
+        path.write_text("y,x1,s\n" + "".join(f"{i % 2},{i * 0.1},{(i % 10) / 10}\n"
+                                             for i in range(60)))
+        code = main(["test", "--input", str(path), "--response", "y", "--formula", "x1",
+                     "--k", "1", "--partition", partition, "--splits", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "k must be at least 2" in captured.err
+        assert "INCONCLUSIVE" not in captured.out
+
     def test_nan_in_unused_covariate_is_an_error(self, tmp_path, capsys):
         spec = make_setting("1", 200, beta3=0.651)
         ds = generate(spec, RandomSource(8).child("data"))
@@ -267,6 +281,56 @@ class TestHlCommand:
         assert payload["df"] == 8
         assert 0.0 <= payload["p_value"] <= 1.0
         assert "statistic" in capsys.readouterr().out
+
+    def test_too_few_groups_is_an_error(self, tmp_path, capsys):
+        path = setting1_csv(tmp_path, n=200)
+        code = main(["hl", "--input", path, "--response", "y",
+                     "--formula", "x1 + x2", "--groups", "2"])
+        assert code == 1
+        assert "error: k must be at least 3" in capsys.readouterr().err
+
+    def test_report_does_not_depend_on_seed_env(self, tmp_path, monkeypatch):
+        # hl draws nothing: its report echoes and hashes its own flags only
+        path = setting1_csv(tmp_path, n=200)
+        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        args = ["hl", "--input", path, "--response", "y", "--formula", "x1 + x2"]
+        monkeypatch.delenv("ADAPTGOF_SEED", raising=False)
+        assert main(args + ["--output", str(out1)]) == 0
+        monkeypatch.setenv("ADAPTGOF_SEED", "5")
+        assert main(args + ["--output", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        payload = json.loads(out1.read_text())
+        assert list(payload["run_config"]) == ["input", "response", "formula", "groups"]
+
+
+class TestRunConfig:
+    # run_config lists a subcommand's flags in flag order, with the seed
+    # resolved, and config_hash hashes them; both are pinned so that reports
+    # of the same flags stay comparable across versions
+    KEYS = ["input", "response", "formula", "k", "n_min", "splits", "alpha",
+            "train_size", "train_fraction", "partition", "seed"]
+
+    def test_test_command(self, tmp_path, monkeypatch):
+        setting1_csv(tmp_path, n=200)
+        monkeypatch.chdir(tmp_path)
+        assert main(["test", "--input", "s1.csv", "--response", "y", "--formula", "x1 + x2",
+                     "--splits", "10", "--seed", "4", "--partition", "mta-prob",
+                     "--train-fraction", "0.6", "--output", "r.json"]) == 0
+        payload = json.loads((tmp_path / "r.json").read_text())
+        assert list(payload["run_config"]) == self.KEYS
+        assert payload["run_config"]["train_fraction"] == 0.6
+        assert payload["config_hash"] == "f9ca2cc3d2f46d01"
+
+    def test_diagnose_command_with_env_seed(self, tmp_path, monkeypatch):
+        setting1_csv(tmp_path, n=200)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("ADAPTGOF_SEED", "6")
+        assert main(["diagnose", "--input", "s1.csv", "--response", "y", "--formula", "x1 + x2",
+                     "--splits", "10", "--k", "4", "--top", "2", "--output", "r.json"]) == 0
+        payload = json.loads((tmp_path / "r.json").read_text())
+        assert list(payload["run_config"]) == self.KEYS
+        assert payload["run_config"]["seed"] == 6
+        assert payload["config_hash"] == "0470ae64df8e86fc"
 
 
 class TestExperimentCommand:

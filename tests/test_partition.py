@@ -37,6 +37,7 @@ from _fixtures import (
     CRIT12_Y,
     greedy_partition_oracle,
     grouped_chi2_oracle,
+    probability_partition_oracle,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -536,6 +537,22 @@ class TestProbabilityPartition:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             probability_partition(np.array([0.2, 1.4]), 3)
+
+    def test_matches_oracle_over_a_grid(self):
+        # continuous, heavily tied, two-point and constant samples, and sizes
+        # both below and far above k
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 3, 7, 10, 50, 333):
+            samples = [
+                rng.uniform(0, 1, size=n),
+                np.round(rng.uniform(0, 1, size=n), 1),
+                rng.choice([0.0, 0.25, 1.0], size=n),
+                np.full(n, 0.4),
+            ]
+            for scores in samples:
+                for k in (2, 3, 4, 5, 7, 10, 13):
+                    assert probability_partition(scores, k, "p") == \
+                        probability_partition_oracle(scores, k, "p"), (n, k, scores)
 
 
 class TestPartitionJson:

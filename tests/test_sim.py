@@ -6,9 +6,11 @@ from adaptgof import (
     Dataset,
     RandomSource,
     TestConfig,
+    fit_logistic,
     multi_split_test,
     score_injection,
 )
+from adaptgof.formula import design_matrix
 from adaptgof.sim import (
     DEFAULT_METHODS,
     MethodSpec,
@@ -181,6 +183,23 @@ class TestRunExperiment:
         results = run_experiment([spec], (MethodSpec("hl", "A"),), reps=500,
                                  rng=RandomSource(14))
         assert 0.02 <= results[0].rate <= 0.07
+
+    def test_nonconverged_hl_fit_counts_as_failed(self):
+        # at n=50 many nn-example full-data fits hit separation; like a bag
+        # split whose fit did not converge, such a replication is not usable
+        spec = make_setting("nn-example", 50)
+        rng = RandomSource(1)
+        reps = 20
+        [result] = run_experiment([spec], (MethodSpec("hl", "A"),), reps=reps, rng=rng)
+        unusable = 0
+        for rep in range(reps):
+            ds = generate(spec, rng.child(("data", spec.setting, spec.variant, spec.n, rep)))
+            try:
+                unusable += not fit_logistic(design_matrix(ds, spec.model_a), ds.y).converged
+            except ValueError:
+                unusable += 1
+        assert unusable > 0
+        assert result.failures >= unusable
 
     def test_reps_validation(self):
         spec = make_setting("1", 200, beta3=0.651)
