@@ -15,7 +15,6 @@ from .glm import (
     RankDeficiencyError,
     SingleClassError,
     fit_logistic,
-    observed_information,
     predict_prob,
 )
 from .gof import (
@@ -36,7 +35,6 @@ from .numkit import (
     RandomSource,
     chi2_sf,
     empirical_quantiles,
-    gaussian_cdf,
     gaussian_quantile,
 )
 from .partition import (
@@ -80,7 +78,6 @@ __all__ = [
     "RankDeficiencyError",
     "SingleClassError",
     "fit_logistic",
-    "observed_information",
     "predict_prob",
     "HlResult",
     "SplitOutcome",
@@ -97,7 +94,6 @@ __all__ = [
     "RandomSource",
     "chi2_sf",
     "empirical_quantiles",
-    "gaussian_cdf",
     "gaussian_quantile",
     "AxisRule",
     "CoverageError",

@@ -207,6 +207,8 @@ def _write_json(path: str, payload: dict) -> None:
 
 def run_test_command(args) -> int:
     """``test`` and ``diagnose``: ``diagnose`` always prints the ranking."""
+    if args.train_size is not None and args.train_fraction is not None:
+        raise CliError("--train-size and --train-fraction are alternatives; pass at most one")
     run_config = _run_config(args)
     dataset = parse_csv(args.input, args.response)
     try:
@@ -216,7 +218,7 @@ def run_test_command(args) -> int:
 
     partition_by, score_column = _partition_settings(args.partition)
     train = args.train_size
-    if train is None and args.train_fraction is not None:
+    if args.train_fraction is not None:
         train = int(args.train_fraction * dataset.n)
     seed = run_config["seed"]
     try:
@@ -303,6 +305,10 @@ def run_experiment_command(args) -> int:
         raise CliError(f"unknown setting {args.setting!r}; choose from {', '.join(SETTINGS)}")
     if args.reps < 1:
         raise CliError("--reps must be at least 1")
+    if args.splits < 1:
+        raise CliError("--splits must be at least 1")
+    if not 0.0 < args.alpha < 1.0:
+        raise CliError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
     seed = _default_seed(args.seed)
 
     if args.beta3 is not None:

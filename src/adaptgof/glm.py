@@ -1,15 +1,18 @@
 """Logistic regression fitting for the model under assessment.
 
 Maximum likelihood via iteratively reweighted least squares (Newton steps with
-step-halving), plus predictions and the observed Fisher information. The fit is
-deliberately plain: no penalty, logit link only. Separation is not detected
-specially -- the iteration cap together with probability clamping yields a
-usable (if extreme) fit, and ``converged=False`` is surfaced to callers.
+step-halving), plus predictions; the fit carries its observed Fisher
+information in ``FittedGlm.fisher_info``. The fit is deliberately plain: no
+penalty, logit link only. Separation is not detected specially -- the
+iteration cap together with probability clamping yields a usable (if extreme)
+fit, and ``converged=False`` is surfaced to callers.
 
 One kernel, ``_clamped_logistic``, turns linear predictors into clamped
 probabilities for the fit, for ``predict_prob`` and for the statistic's
 gradient in ``gof``. Each IRLS step evaluates ``x @ beta`` once per candidate
 and carries the accepted candidate's predictor and log-likelihood forward.
+Each step solves its normal equations by plain Cholesky factorisation; a
+numerically singular system raises ``RankDeficiencyError``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ __all__ = [
     "RankDeficiencyError",
     "fit_logistic",
     "predict_prob",
-    "observed_information",
     "PROB_CLAMP",
 ]
 
@@ -130,11 +132,10 @@ def _triangular_solves(upper: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a symmetric positive-definite system.
+    """Solve a symmetric positive-definite system by Cholesky factorisation.
 
-    Plain Cholesky first; on failure, pivoted Cholesky (LAPACK dpstrf) with a
-    relative pivot tolerance. Raises RankDeficiencyError when the matrix is
-    numerically singular at that tolerance.
+    Raises RankDeficiencyError when the factorisation fails or the ratio of
+    its smallest to its largest squared pivot is below ``_PIVOT_RTOL``.
     """
     try:
         chol = np.linalg.cholesky(a)
@@ -143,23 +144,10 @@ def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             return _triangular_solves(chol.T, b)
     except np.linalg.LinAlgError:
         pass
-
-    tol = _PIVOT_RTOL * max(float(np.max(np.diagonal(a))), np.finfo(float).tiny)
-    c, piv, rank, _info = lapack.dpstrf(a, lower=1, tol=tol)
-    if rank < a.shape[0]:
-        raise RankDeficiencyError(
-            f"weighted normal equations are numerically singular (rank {rank} of {a.shape[0]})"
-        )
-    perm = piv - 1
-    lower = np.tril(c)
-    rhs = b[perm]
-    # solve_triangular's finite check, kept on this rarely taken branch
-    if not (np.isfinite(lower).all() and np.isfinite(rhs).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    z = _triangular_solves(lower.T, rhs)
-    out = np.empty_like(z)
-    out[perm] = z
-    return out
+    raise RankDeficiencyError(
+        "weighted normal equations are numerically singular "
+        f"(Cholesky pivot ratio below {_PIVOT_RTOL:g})"
+    )
 
 
 def fit_logistic(x: DesignMatrix, y) -> FittedGlm:
@@ -241,9 +229,3 @@ def predict_prob(model: FittedGlm, x: DesignMatrix) -> np.ndarray:
             f"design has {x.ncol} columns but the model has {model.coef.shape[0]} coefficients"
         )
     return _clamped_logistic(x.values @ model.coef)
-
-
-def observed_information(model: FittedGlm, x: DesignMatrix) -> np.ndarray:
-    """Observed Fisher information X' W X at the fitted coefficients."""
-    info = _weighted_gram(x.values, predict_prob(model, x))
-    return 0.5 * (info + info.T)

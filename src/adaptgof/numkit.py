@@ -4,24 +4,24 @@ Distribution functions (chi-squared survival, Gaussian quantile), the lower
 empirical quantile convention used throughout the package, and a reproducible
 random source with derivable child streams.
 
-``chi2_sf`` is a validated call to scipy's ``chdtrc``. The Gaussian quantile
-is computed here, because ``RandomSource.normal`` draws through it and a
-different routine would move every simulated dataset. The test suite checks
-both against independent oracles: 1e-10 absolute for ``chi2_sf`` (x <= 200,
-k <= 100) and 1e-8 absolute for ``gaussian_quantile``.
+``chi2_sf`` and ``gaussian_quantile`` are validated calls to scipy's
+``chdtrc`` and ``ndtri``. ``RandomSource.normal`` draws through the quantile,
+so a change of routine moves every simulated dataset: the switch to ``ndtri``
+from a rational approximation with a Newton step moved draws by at most
+8.6e-11. The test suite checks both against independent oracles: 1e-10
+absolute for ``chi2_sf`` (x <= 200, k <= 100) and 1e-8 absolute for
+``gaussian_quantile``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 
 import numpy as np
-from scipy.special import chdtrc, erfc
+from scipy.special import chdtrc, ndtri
 
 __all__ = [
     "chi2_sf",
-    "gaussian_cdf",
     "gaussian_quantile",
     "empirical_quantiles",
     "RandomSource",
@@ -51,61 +51,23 @@ def chi2_sf(x: float, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian CDF and quantile
+# Gaussian quantile
 # ---------------------------------------------------------------------------
 
 
-def gaussian_cdf(x):
-    """Standard normal CDF, computed from the complementary error function."""
-    return 0.5 * erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0))
-
-
-# Rational approximation coefficients (Acklam's inverse normal CDF).
-_QA = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-       1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-_QB = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-       6.680131188771972e01, -1.328068155288572e01)
-_QC = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-       -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-_QD = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-       3.754408661907416e00)
-_P_LOW = 0.02425
-
-
 def gaussian_quantile(p):
-    """Inverse standard normal CDF.
+    """Inverse standard normal CDF, from ``scipy.special.ndtri``.
 
-    Rational approximation refined by one Newton step on the erfc-based CDF;
-    accepts scalars or arrays. Inputs must lie strictly inside (0, 1).
+    Accepts scalars (returning a float) or arrays.
+
+    Raises:
+        ValueError: unless every input is finite and strictly inside (0, 1).
     """
     arr = np.asarray(p, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("gaussian_quantile requires probabilities strictly in (0, 1)")
-
-    out = np.empty_like(arr)
-    lo = arr < _P_LOW
-    hi = arr > 1.0 - _P_LOW
-    mid = ~(lo | hi)
-
-    if np.any(mid):
-        q = arr[mid] - 0.5
-        r = q * q
-        num = ((((_QA[0] * r + _QA[1]) * r + _QA[2]) * r + _QA[3]) * r + _QA[4]) * r + _QA[5]
-        den = ((((_QB[0] * r + _QB[1]) * r + _QB[2]) * r + _QB[3]) * r + _QB[4]) * r + 1.0
-        out[mid] = q * num / den
-    for mask, prob, sign in ((lo, arr[lo], 1.0), (hi, 1.0 - arr[hi], -1.0)):
-        if np.any(mask):
-            s = np.sqrt(-2.0 * np.log(prob))
-            num = ((((_QC[0] * s + _QC[1]) * s + _QC[2]) * s + _QC[3]) * s + _QC[4]) * s + _QC[5]
-            den = (((_QD[0] * s + _QD[1]) * s + _QD[2]) * s + _QD[3]) * s + 1.0
-            out[mask] = sign * num / den
-
-    # One Newton step: x <- x - (Phi(x) - p) / phi(x).
-    pdf = np.exp(-0.5 * out * out) / math.sqrt(2.0 * math.pi)
-    out -= (gaussian_cdf(out) - arr) / pdf
-    return float(out[0]) if scalar else out
+    out = ndtri(arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,16 @@ class TestTestCommand:
         assert payload["run_config"]["partition"] == "score:score"
 
 
+    def test_train_size_with_train_fraction_is_an_error(self, tmp_path, capsys):
+        path = setting1_csv(tmp_path, n=200)
+        code = main(["test", "--input", path, "--response", "y", "--formula", "x1 + x2",
+                     "--splits", "5", "--train-size", "150", "--train-fraction", "0.6"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "--train-size" in captured.err and "--train-fraction" in captured.err
+        assert "decision" not in captured.out
+
+
 class TestDiagnoseCommand:
     def test_prints_ranking(self, tmp_path, capsys):
         path = setting1_csv(tmp_path, n=500)
@@ -379,6 +389,24 @@ class TestExperimentCommand:
                      "--outdir", str(tmp_path)])
         assert code == 1
         assert "at least 50" in capsys.readouterr().err
+
+    # hl methods never build a TestConfig, so these flags are checked up front
+    @pytest.mark.parametrize("alpha", ["2", "0", "1", "-0.1", "nan"])
+    def test_alpha_outside_unit_interval_is_usage_error(self, tmp_path, capsys, alpha):
+        code = main(["experiment", "--setting", "4", "--n", "100", "--reps", "3",
+                     "--methods", "hl-a", "--alpha", alpha, "--seed", "1",
+                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        assert "--alpha" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_splits_is_usage_error(self, tmp_path, capsys):
+        code = main(["experiment", "--setting", "4", "--n", "100", "--reps", "3",
+                     "--methods", "hl-a", "--splits", "0", "--seed", "1",
+                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        assert "--splits" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_setting(self, tmp_path, capsys):
         code = main(["experiment", "--setting", "12", "--reps", "2",
