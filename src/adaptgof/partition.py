@@ -11,12 +11,16 @@ The continuous cut search works on presorted columns (the presorting of
 CART, and the exact-greedy scan over sorted column blocks of XGBoost). Each
 continuous column is sorted once per search -- or once per test, since
 ``greedy_partition`` accepts the stable order of every column as ``order`` --
-and each child group's sorted rows are filtered from its parent's. A node's
-candidate thresholds are read straight off its sorted column and all of them
-are scored in one vectorised expression over the running residual and
-variance sums. Because a stable sort of a subset equals the parent's stable
-order restricted to that subset, those running sums are the ones a fresh
-per-node sort would give.
+and each child group's sorted rows are filtered from its parent's. All
+continuous columns of a node have the same rows, so they share the ranks of
+their candidate thresholds: one call per node, ``_best_threshold_cuts``,
+gathers every column's running residual and variance sums at those ranks into
+one (column, candidate) array and scores all pairs in one expression. A node
+keeps one 1-D row order per column rather than a stacked (columns x rows)
+array: at 18,000 rows the stacked arrays are large fresh allocations whose
+page faults cost more than the per-column calls they save. Because a stable
+sort of a subset equals the parent's stable order restricted to that subset,
+the running sums are the ones a fresh per-node sort would give.
 
 Each group's term of the grouped chi-squared value, (residual sum)^2 /
 (variance sum), comes from one kernel, ``_group_contributions``, which
@@ -177,6 +181,13 @@ class PartitionConfig:
             raise ValueError("at least one splitting source must be named")
         object.__setattr__(self, "continuous", tuple(self.continuous))
         object.__setattr__(self, "discrete", tuple(self.discrete))
+        seen = set()
+        for s in self.continuous + self.discrete:
+            if s in seen:
+                where = ("in both continuous and discrete"
+                         if s in self.continuous and s in self.discrete else "twice")
+                raise ValueError(f"splitting source {s!r} is listed {where}")
+            seen.add(s)
 
 
 # ---------------------------------------------------------------------------
@@ -316,23 +327,47 @@ def candidate_discrete_splits(labels, n_min: int, residuals=None) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _best_threshold_cut(vs, resid, var, n_min):
-    """Best threshold of one column: (children B, threshold) or None.
+def _best_threshold_cuts(columns, orders, rv, n_min):
+    """Best threshold cut over every continuous column of one node, or None.
 
-    ``vs`` is the column in ascending order and ``resid`` / ``var`` are the
-    rows in that same order. Every candidate is scored in one expression over
-    the running sums; ``argmax`` keeps the first maximum, which is the
-    smallest of tied thresholds.
+    ``orders`` holds the node's rows in the ascending order of each of
+    ``columns``, and ``rv`` stacks the residuals and variances of all rows.
+    The columns share the node's n0 and hence the candidate ranks. Each
+    column adds its running sums at its candidates' left ends (every run of
+    ties goes left whole) to one (column, candidate) array, and one
+    expression scores every pair.
+
+    Returns ``(b, column, threshold)``: the children's B, the winning
+    column's index and its threshold. The flat ``argmax`` keeps the first
+    maximum in row-major order: the earlier column, then the smaller
+    threshold. Equal thresholds have equal left counts and equal B, so
+    duplicates need no removal.
     """
-    left, cuts = _threshold_cuts(vs, n_min)
-    if cuts.size == 0:
+    n_cols, n0 = len(orders), orders[0].size
+    rho = n0 // n_min
+    ranks = _lower_quantile_index(n0, np.arange(1, rho) / rho)
+    m = ranks.size
+    last = np.empty((n_cols, m + 1), dtype=np.intp)  # last left row per cut, then row n0 - 1
+    last[:, m] = n0 - 1
+    sums = np.empty((n_cols, 2, m + 1))
+    # ndarray methods: the np.* wrappers cost as much as the work at small n0
+    for j, (col, o) in enumerate(zip(columns, orders)):
+        vs = col.take(o)
+        last[j, :m] = vs.searchsorted(vs[ranks], side="right") - 1
+        cum = rv.take(o, axis=1)
+        cum.cumsum(axis=1, out=cum)
+        # mode="clip" writes straight into ``out``; "raise" would buffer it
+        cum.take(last[j], axis=1, out=sums[j], mode="clip")
+    ok = (last[:, :m] >= n_min - 1) & (last[:, :m] < n0 - n_min)
+    lr, lv = sums[:, 0, :m], sums[:, 1, :m]
+    tot_r, tot_v = sums[:, 0, m:], sums[:, 1, m:]
+    b = np.divide((tot_r - lr) ** 2, tot_v - lv, out=np.full(ok.shape, -np.inf), where=ok)
+    b += lr**2 / lv
+    i = int(np.argmax(b))
+    if not ok.flat[i]:
         return None
-    cum_r = np.cumsum(resid)
-    cum_v = np.cumsum(var)
-    lr, lv = cum_r[left - 1], cum_v[left - 1]
-    b = lr**2 / lv + (cum_r[-1] - lr) ** 2 / (cum_v[-1] - lv)
-    best = int(np.argmax(b))
-    return float(b[best]), float(cuts[best])
+    j = i // m
+    return float(b.flat[i]), j, float(columns[j][orders[j][ranks[i % m]]])
 
 
 def _best_discrete_cut(labs, resid, var, n_min):
@@ -374,7 +409,8 @@ def greedy_partition(
     ``order`` maps every continuous source to the stable ascending order of
     its rows, as ``presort`` returns it; it is computed here when not given.
     Each group's sorted rows are filtered from its parent's, so no column is
-    sorted more than once per call.
+    sorted more than once per call, and each group's continuous cuts are
+    scored in one call.
 
     Raises:
         InfeasiblePartitionError: when even the root cannot be split.
@@ -387,40 +423,39 @@ def greedy_partition(
     resid = y - p
     var = p * (1.0 - p)
 
-    sources = sorted(set(config.continuous) | set(config.discrete))
-    is_discrete = {s: s in set(config.discrete) for s in sources}
-    cols = {}
-    for s in sources:
+    for s in sorted(config.continuous + config.discrete):
         if s not in columns:
             raise MissingColumnError(s)
-        cols[s] = np.asarray(columns[s]) if is_discrete[s] else np.asarray(columns[s], dtype=float)
-    ordered = [s for s in sources if not is_discrete[s]]
+    ordered = sorted(config.continuous)
+    discrete = sorted(config.discrete)
+    continuous = [np.asarray(columns[s], dtype=float) for s in ordered]
+    cols = dict(zip(ordered, continuous)) | {s: np.asarray(columns[s]) for s in discrete}
     if order is None:
         order = presort(cols, ordered)
+    rv = np.stack([resid, var])
 
-    # A node is (rows in ascending index order, rules, {source: rows in
-    # ascending value order}). A stable sort of a subset equals the parent's
-    # stable order filtered to that subset, so every running sum and tie
-    # matches a fresh per-node sort.
+    # A node is (rows in ascending index order, rules, rows of the node in
+    # each continuous column's ascending order). A stable sort of a subset
+    # equals the parent's stable order filtered to that subset, so every
+    # running sum and tie matches a fresh per-node sort.
     def best_split(node):
-        idx, _, sorted_rows = node
+        idx, _, orders = node
         if idx.size < 2 * config.n_min:
             return None
         best = None  # (b, source, kind, payload)
-        for s in sources:  # lexicographic order; strict '>' keeps earlier source on ties
-            if is_discrete[s]:
-                found = _best_discrete_cut(cols[s][idx], resid[idx], var[idx], config.n_min)
-                kind = "in"
-            else:
-                o = sorted_rows[s]
-                found = _best_threshold_cut(cols[s][o], resid[o], var[o], config.n_min)
-                kind = "le"
-            if found is not None and (best is None or found[0] > best[0]):
-                best = (found[0], s, kind, found[1])
+        if ordered:
+            found = _best_threshold_cuts(continuous, orders, rv, config.n_min)
+            if found is not None:
+                best = (found[0], ordered[found[1]], "le", found[2])
+        for s in discrete:  # on equal B the lexicographically smaller source wins
+            found = _best_discrete_cut(cols[s][idx], resid[idx], var[idx], config.n_min)
+            if found is not None and (best is None or found[0] > best[0]
+                                      or (found[0] == best[0] and s < best[1])):
+                best = (found[0], s, "in", found[1])
         return best
 
     def children(node, found):
-        idx, rules, sorted_rows = node
+        idx, rules, orders = node
         _, source, kind, payload = found
         if kind == "le":
             left = cols[source] <= payload
@@ -430,15 +465,14 @@ def greedy_partition(
             left = np.isin(cols[source], np.asarray(payload))
             left_rule = AxisRule(source, "in", labels=payload)
             right_rule = AxisRule(source, "not-in", labels=payload)
-        # np.compress gives what boolean indexing gives, several times
+        # compress gives what boolean indexing gives, several times
         # faster on scattered masks
         return [
-            (np.compress(side[idx], idx), rules + (rule,),
-             {s: np.compress(side[o], o) for s, o in sorted_rows.items()})
+            (idx.compress(side[idx]), rules + (rule,), [o.compress(side[o]) for o in orders])
             for side, rule in ((left, left_rule), (~left, right_rule))
         ]
 
-    root = (np.arange(n), (), {s: np.asarray(order[s]) for s in ordered})
+    root = (np.arange(n), (), [np.asarray(order[s]) for s in ordered])
     found = best_split(root)
     if found is None:
         raise InfeasiblePartitionError(

@@ -152,6 +152,18 @@ def _scan_oracle(values, resid, var, n_min):
     return best
 
 
+class TestPartitionConfig:
+    def test_source_in_both_tuples_is_rejected(self):
+        # the search used to cut such a column as discrete, one label per value
+        with pytest.raises(ValueError, match="'x'.*both continuous and discrete"):
+            PartitionConfig(k=3, n_min=10, continuous=("x",), discrete=("x",))
+
+    @pytest.mark.parametrize("kind", ["continuous", "discrete"])
+    def test_source_listed_twice_is_rejected(self, kind):
+        with pytest.raises(ValueError, match="'x' is listed twice"):
+            PartitionConfig(k=3, n_min=10, **{kind: ("x", "y", "x")})
+
+
 class TestGreedyPartition:
     def test_sharp_sign_signal_splits_near_zero(self):
         rng = RandomSource(77)
@@ -266,16 +278,16 @@ class TestGreedyPartition:
 
     def test_deterministic_tie_break_prefers_lexicographic_source(self):
         # two identical columns: every cut ties, so the lexicographically
-        # smaller name must win
-        rng = RandomSource(82)
-        n = 200
-        col = rng.normal(0, 1, size=n)
-        y = rng.bernoulli(0.5, size=n)
-        part = greedy_partition(
-            PartitionConfig(k=2, n_min=50, continuous=("b_col", "a_col")),
-            {"a_col": col, "b_col": col.copy()}, y, np.full(n, 0.5),
-        )
-        assert part.groups[0].rules[0].source == "a_col"
+        # smaller name must win, on small and on large nodes
+        for n in (200, 20000):
+            rng = RandomSource(82)
+            col = rng.normal(0, 1, size=n)
+            y = rng.bernoulli(0.5, size=n)
+            part = greedy_partition(
+                PartitionConfig(k=2, n_min=n // 4, continuous=("b_col", "a_col")),
+                {"a_col": col, "b_col": col.copy()}, y, np.full(n, 0.5),
+            )
+            assert part.groups[0].rules[0].source == "a_col", n
 
 
 class TestPresortedSearchMatchesOracle:
@@ -330,17 +342,26 @@ class TestPresortedSearchMatchesOracle:
 
 @st.composite
 def _search_inputs(draw):
-    """Small searches with heavy ties: integer-valued columns, 1 to 3 of them."""
+    """Small searches with heavy ties: 1 to 5 integer-valued columns and, in
+    some draws, one discrete column of 2 to 9 labels (past 6 labels only the
+    residual-ordered splits are scored)."""
     n = draw(st.integers(20, 150))
-    n_cols = draw(st.integers(1, 3))
+    n_cols = draw(st.integers(1, 5))
     cols = {
         f"c{j}": np.array(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)), dtype=float)
         for j in range(n_cols)
     }
+    discrete = ()
+    if draw(st.booleans()):
+        m = draw(st.integers(2, 9))
+        codes = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        # "c0d" sorts between c0 and c1, so the merge order matters
+        cols["c0d"] = np.array([f"L{c}" for c in codes])
+        discrete = ("c0d",)
     y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     phat = np.array(draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n)))
     cfg = PartitionConfig(k=draw(st.integers(2, 8)), n_min=draw(st.integers(1, n // 2)),
-                          continuous=tuple(cols))
+                          continuous=tuple(f"c{j}" for j in range(n_cols)), discrete=discrete)
     return cfg, cols, y, phat
 
 
