@@ -248,8 +248,9 @@ def run_test_command(args) -> int:
         verdict = "REJECT (lack of fit)" if report.reject else "NO REJECTION"
     print(f"decision:   {verdict}")
     print(f"median p:   {report.median_p:.6g}")
-    print(f"threshold:  {report.threshold:.6g}  (alpha={report.alpha}, splits={report.splits})")
-    print(f"failed:     {report.n_failed} of {report.splits} splits")
+    cfg = report.config
+    print(f"threshold:  {report.threshold:.6g}  (alpha={cfg.alpha}, splits={cfg.splits})")
+    print(f"failed:     {report.n_failed} of {cfg.splits} splits")
     if args.command == "diagnose" or report.reject:
         print(f"top covariates on partition boundaries (of {len(report.ranking)}):")
         for name, total, max_grp in report.ranking[: args.top]:
@@ -311,12 +312,9 @@ def run_experiment_command(args) -> int:
         raise CliError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
     seed = _default_seed(args.seed)
 
-    if args.beta3 is not None:
-        variants = [{"beta3": args.beta3}]
-    elif args.chi2_df is not None:
-        variants = [{"chi2_df": args.chi2_df}]
-    else:
-        variants = default_variants(args.setting)
+    # every flag given goes to make_setting, which rejects one the design does not take
+    given = {k: v for k, v in (("beta3", args.beta3), ("chi2_df", args.chi2_df)) if v is not None}
+    variants = [given] if given else default_variants(args.setting)
     try:
         specs = [make_setting(args.setting, args.n, **kw) for kw in variants]
     except ValueError as exc:

@@ -3,9 +3,11 @@
 Maximum likelihood via iteratively reweighted least squares (Newton steps with
 step-halving), plus predictions; the fit carries its observed Fisher
 information in ``FittedGlm.fisher_info``. The fit is deliberately plain: no
-penalty, logit link only. Separation is not detected specially -- the
-iteration cap together with probability clamping yields a usable (if extreme)
-fit, and ``converged=False`` is surfaced to callers.
+penalty, logit link only. Separation is not detected: once the fitted
+probabilities saturate at the clamp the gradient test passes, so a separated
+fit usually ends ``converged=True`` with extreme coefficients (40 rows with
+y = (x >= 2) stop after 19 iterations at about (-486, 243), with 38 of the
+40 probabilities at the clamp). Flagging such fits is ROADMAP item 1.
 
 One kernel, ``_clamped_logistic``, turns linear predictors into clamped
 probabilities for the fit, for ``predict_prob`` and for the statistic's

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -281,6 +281,11 @@ class SplitOutcome:
     failed: bool = False
     error: str | None = None
 
+    @property
+    def usable(self) -> bool:
+        """Whether the split enters the median p-value and the covariate ranking."""
+        return not self.failed and self.converged
+
     @classmethod
     def failure(cls, message: str) -> "SplitOutcome":
         return cls(
@@ -289,17 +294,19 @@ class SplitOutcome:
         )
 
 
-def _rule_counts(partition: Partition) -> Counter:
-    return Counter(rule.source for group in partition.groups for rule in group.rules)
+def _rule_counts(groups) -> dict:
+    return dict(Counter(rule.source for group in groups for rule in group.rules))
 
 
 def _plan(config: TestConfig, dataset: Dataset) -> tuple:
-    """What every split of one test shares: ``(n_train, partition config, order)``.
+    """What every split of one test shares: ``(n_train, partition config, order, scores)``.
 
     Resolves the defaults and checks the sizes once, so a configuration that
     no split can satisfy raises ``ValueError`` instead of failing every split.
     For the covariate search it also sorts each continuous column once over
     all rows (``order``); each split filters its training rows out of that.
+    For ``partition_by="score"`` it reads and range-checks the score column
+    once (``scores``).
     """
     n = dataset.n
     n_min = config.n_min if config.n_min is not None else n // 10
@@ -314,12 +321,13 @@ def _plan(config: TestConfig, dataset: Dataset) -> tuple:
         scores = dataset.numeric(config.score_column)
         if not np.all((scores >= 0.0) & (scores <= 1.0)):
             raise ValueError(f"score column {config.score_column!r} must lie in [0, 1]")
-    if config.partition_by != "covariates":
-        return n_train, None, None
+        return n_train, None, None, scores
+    if config.partition_by == "mta-prob":
+        return n_train, None, None, None
     cont = config.continuous if config.continuous is not None else dataset.continuous_names
     disc = config.discrete if config.discrete is not None else dataset.discrete_names
     pcfg = PartitionConfig(k=config.k, n_min=n_min, continuous=cont, discrete=disc)
-    return n_train, pcfg, presort(dataset.columns, pcfg.continuous)
+    return n_train, pcfg, presort(dataset.columns, pcfg.continuous), None
 
 
 def _split_once(
@@ -330,8 +338,7 @@ def _split_once(
     rng: RandomSource,
 ) -> SplitOutcome:
     n = dataset.n
-    n_train, pcfg, order = plan
-    n_test = n - n_train
+    n_train, pcfg, order, scores = plan
 
     perm = rng.permutation(n)
     train_idx = np.sort(perm[:n_train])
@@ -339,34 +346,34 @@ def _split_once(
 
     x_train = DesignMatrix(x_full.values[train_idx], x_full.names)
     x_test = DesignMatrix(x_full.values[test_idx], x_full.names)
+    y_test = dataset.y[test_idx]
     model = fit_logistic(x_train, dataset.y[train_idx])
     phat_train = predict_prob(model, x_train)
     phat_test = predict_prob(model, x_test)
 
-    train_cols = {name: col[train_idx] for name, col in dataset.columns.items()}
-    test_cols = {name: col[test_idx] for name, col in dataset.columns.items()}
-
-    if config.partition_by == "covariates":
+    if pcfg is not None:
         # Rank of each training row among the training rows: the split's
         # sorted order follows from the shared one in O(n), with no sort.
         member = np.zeros(n, dtype=bool)
         member[train_idx] = True
         rank = np.cumsum(member) - 1
         train_order = {s: rank[np.compress(member[o], o)] for s, o in order.items()}
+        train_cols = {s: dataset.columns[s][train_idx] for s in pcfg.continuous + pcfg.discrete}
         part = greedy_partition(
             pcfg, train_cols, dataset.y[train_idx], phat_train, order=train_order
         )
-    elif config.partition_by == "score":
-        scores = np.asarray(dataset.numeric(config.score_column), dtype=float)
-        part = probability_partition(scores[train_idx], config.k, source=config.score_column)
-    else:  # mta-prob
-        part = probability_partition(phat_train, config.k, source=_MTA_PROB_COLUMN)
-        test_cols = dict(test_cols)
-        test_cols[_MTA_PROB_COLUMN] = phat_test
+        groups = assign_groups(part, {s: dataset.columns[s][test_idx] for s in part.sources})
+    else:
+        if scores is None:
+            source, train_scores, test_scores = _MTA_PROB_COLUMN, phat_train, phat_test
+        else:
+            source = config.score_column
+            train_scores, test_scores = scores[train_idx], scores[test_idx]
+        part = probability_partition(train_scores, config.k, source=source)
+        groups = assign_groups(part, {source: test_scores})
 
-    groups = assign_groups(part, test_cols)
-    bag = bag_statistic(dataset.y[test_idx], phat_test, groups, part.size)
-    corr = corrected_statistic(bag, model, x_test, dataset.y[test_idx], groups)
+    bag = bag_statistic(y_test, phat_test, groups, part.size)
+    corr = corrected_statistic(bag, model, x_test, y_test, groups)
     p_value = chi2_sf(corr.adjusted, bag.realized_k)
     max_group = int(np.argmax(bag.contributions))
     return SplitOutcome(
@@ -376,12 +383,12 @@ def _split_once(
         realized_k=bag.realized_k,
         p_value=p_value,
         partition=part,
-        counts_all=dict(_rule_counts(part)),
-        counts_max_group=dict(Counter(r.source for r in part.groups[max_group].rules)),
+        counts_all=_rule_counts(part.groups),
+        counts_max_group=_rule_counts(part.groups[max_group:max_group + 1]),
         converged=model.converged,
         correction_skipped=corr.skipped,
         train_n=n_train,
-        test_n=n_test,
+        test_n=n - n_train,
     )
 
 
@@ -420,8 +427,6 @@ class TestReport:
     reject: bool | None
     inconclusive: bool
     n_failed: int
-    splits: int
-    alpha: float
     ranking: tuple
     config: TestConfig
     seed: int | None = None
@@ -481,7 +486,7 @@ def multi_split_test(
             out = SplitOutcome.failure(f"{type(exc).__name__}: {exc}")
         outcomes.append(out)
 
-    usable = [o for o in outcomes if not o.failed and o.converged]
+    usable = [o for o in outcomes if o.usable]
     n_failed = config.splits - len(usable)
     inconclusive = n_failed > config.splits / 2
     median_p, threshold, reject = aggregate_p_values(
@@ -496,9 +501,7 @@ def multi_split_test(
         reject=reject,
         inconclusive=inconclusive,
         n_failed=n_failed,
-        splits=config.splits,
-        alpha=config.alpha,
-        ranking=covariate_counts(usable),
+        ranking=covariate_counts(outcomes),
         config=config,
         seed=seed,
     )
@@ -507,19 +510,19 @@ def multi_split_test(
 def covariate_counts(outcomes) -> tuple:
     """Rank covariates by rule appearances across the selected partitions.
 
-    Returns ``(covariate, total_count, max_group_count)`` tuples, sorted by
-    total count descending with lexicographic tie-break. ``total_count`` sums
-    rule appearances over all groups of all selected partitions;
+    Only usable outcomes count. Returns ``(covariate, total_count,
+    max_group_count)`` tuples, sorted by total count descending with
+    lexicographic tie-break. ``total_count`` sums rule appearances over all
+    groups of all selected partitions;
     ``max_group_count`` sums them over each split's largest-contribution
     group only.
     """
     total = Counter()
     max_grp = Counter()
     for o in outcomes:
-        if getattr(o, "failed", False) or o.partition is None:
-            continue
-        total.update(o.counts_all)
-        max_grp.update(o.counts_max_group)
+        if o.usable:
+            total.update(o.counts_all)
+            max_grp.update(o.counts_max_group)
     names = sorted(set(total) | set(max_grp))
     ranked = sorted(names, key=lambda n: (-total[n], n))
     return tuple((n, int(total[n]), int(max_grp[n])) for n in ranked)
@@ -559,7 +562,7 @@ def _outcome_to_dict(o: SplitOutcome, index: int) -> dict:
 
 def report_to_dict(report: TestReport) -> dict:
     """Deterministic JSON-ready view of a report (fixed key order, no timing)."""
-    usable = [o for o in report.outcomes if not o.failed and o.converged]
+    usable = [o for o in report.outcomes if o.usable]
     stats = sorted(o.adjusted for o in usable)
     summary = {
         "n_usable": len(usable),
@@ -567,32 +570,21 @@ def report_to_dict(report: TestReport) -> dict:
         "adjusted_median": _lower_median(stats) if stats else None,
         "adjusted_max": stats[-1] if stats else None,
     }
-    cfg = report.config
     return {
         "decision": {
             "reject": report.reject,
             "inconclusive": report.inconclusive,
             "median_p": report.median_p,
             "threshold": report.threshold,
-            "alpha": report.alpha,
-            "splits": report.splits,
+            "alpha": report.config.alpha,
+            "splits": report.config.splits,
             "failed_splits": report.n_failed,
         },
         "statistic_summary": summary,
         "covariate_ranking": [
             {"covariate": n, "total": t, "max_group": m} for n, t, m in report.ranking
         ],
-        "config": {
-            "k": cfg.k,
-            "n_min": cfg.n_min,
-            "train_size": cfg.train_size,
-            "alpha": cfg.alpha,
-            "splits": cfg.splits,
-            "partition_by": cfg.partition_by,
-            "score_column": cfg.score_column,
-            "continuous": list(cfg.continuous) if cfg.continuous is not None else None,
-            "discrete": list(cfg.discrete) if cfg.discrete is not None else None,
-        },
+        "config": asdict(report.config),
         "seed": report.seed,
         "splits": [_outcome_to_dict(o, i) for i, o in enumerate(report.outcomes)],
     }

@@ -249,30 +249,20 @@ def candidate_thresholds(values, n_min: int) -> list:
     """
     if n_min < 1:
         raise ValueError("n_min must be at least 1")
-    _, cuts = _threshold_cuts(np.sort(np.asarray(values, dtype=float)), n_min)
-    return cuts.tolist()
-
-
-def _threshold_cuts(srt: np.ndarray, n_min: int) -> tuple:
-    """The ``candidate_thresholds`` rule on an ascending column.
-
-    Returns ``(left, cuts)``: ``cuts`` holds the ascending feasible thresholds
-    and ``left`` the number of rows ``<=`` each (the size of the left child).
-    """
+    srt = np.sort(np.asarray(values, dtype=float))
     n0 = srt.size
     rho = n0 // n_min
     if rho < 2:
-        return np.empty(0, dtype=int), np.empty(0)
+        return []
     left, qs = _quantile_cuts(srt, rho)
-    keep = (left >= n_min) & (n0 - left >= n_min)
-    return left[keep], qs[keep]
+    return qs[(left >= n_min) & (n0 - left >= n_min)].tolist()
 
 
 def _quantile_cuts(srt: np.ndarray, k: int) -> tuple:
     """The distinct j/k lower quantiles (j = 1..k-1) of an ascending sample.
 
     Returns ``(left, qs)``: ``qs`` ascending and ``left`` the number of
-    values ``<=`` each. ``_threshold_cuts`` and ``probability_partition``
+    values ``<=`` each. ``candidate_thresholds`` and ``probability_partition``
     both cut at these.
     """
     qs = srt[_lower_quantile_index(srt.size, np.arange(1, k) / k)]
@@ -472,16 +462,9 @@ def greedy_partition(
             for side, rule in ((left, left_rule), (~left, right_rule))
         ]
 
-    root = (np.arange(n), (), [np.asarray(order[s]) for s in ordered])
-    found = best_split(root)
-    if found is None:
-        raise InfeasiblePartitionError(
-            "the root group admits no feasible split; lower n_min or provide more data"
-        )
-
-    queue = deque(children(root, found))
+    queue = deque([(np.arange(n), (), [np.asarray(order[s]) for s in ordered])])
     finished = []
-    total = 2
+    total = 1
     while queue and total < config.k:
         node = queue.popleft()
         found = best_split(node)
@@ -490,6 +473,10 @@ def greedy_partition(
             continue
         queue.extend(children(node, found))
         total += 1
+    if total == 1:
+        raise InfeasiblePartitionError(
+            "the root group admits no feasible split; lower n_min or provide more data"
+        )
 
     nodes = finished + list(queue)
     groups = tuple(Group(rules=r, train_count=int(i.size)) for i, r, _ in nodes)

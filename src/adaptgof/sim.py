@@ -79,10 +79,18 @@ def default_variants(setting: str) -> list:
 
 def make_setting(setting: str, n: int, *, beta3: float | None = None,
                  chi2_df: int | None = None) -> SettingSpec:
-    """Resolve a design id plus variant parameters into a full specification."""
+    """Resolve a design id plus variant parameters into a full specification.
+
+    ``beta3`` belongs to settings 1 and 2 and ``chi2_df`` to setting 3; a
+    parameter the design does not take raises ``ValueError``.
+    """
     setting = str(setting)
     if n < 50:
         raise ValueError("n must be at least 50")
+    if beta3 is not None and setting not in ("1", "2"):
+        raise ValueError(f"setting {setting} takes no beta3 parameter (settings 1 and 2 do)")
+    if chi2_df is not None and setting != "3":
+        raise ValueError(f"setting {setting} takes no chi2_df parameter (setting 3 does)")
     if setting == "1":
         b3 = 0.651 if beta3 is None else float(beta3)
         return SettingSpec(
@@ -281,7 +289,9 @@ def _run_method(method: MethodSpec, dataset: Dataset, spec: SettingSpec,
             model = fit_logistic(x, dataset.y)
         except ValueError:  # e.g. a replication with one response class
             return None
-        if not model.converged:  # e.g. separation; bag drops such splits too
+        # bag drops non-converged splits too; a separated fit can still end
+        # converged=True with saturated probabilities (ROADMAP item 1)
+        if not model.converged:
             return None
         result = hl_test(dataset.y, predict_prob(model, x), k=method.k or 10)
         if result.failed:

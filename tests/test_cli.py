@@ -414,6 +414,19 @@ class TestExperimentCommand:
         assert code == 1
         assert "unknown setting" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting, flags, name", [
+        ("4", ["--beta3", "0.9"], "beta3"),
+        ("1", ["--beta3", "0.9", "--chi2-df", "8"], "chi2_df"),
+    ])
+    def test_variant_flag_the_setting_does_not_take(self, tmp_path, capsys, setting, flags,
+                                                    name):
+        code = main(["experiment", "--setting", setting, "--n", "100", "--reps", "1",
+                     "--splits", "2", "--methods", "hl-a", "--seed", "1", *flags,
+                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        assert f"setting {setting} takes no {name}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_power_at_paper_scale(self, tmp_path):
         # missing main effect, n=500: the adaptive test rejects nearly always
         outdir = tmp_path / "power"

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -392,6 +394,37 @@ class TestMultiSplit:
                                   RandomSource(10).child("m"))
         assert report.n_failed == 3
         assert all(o.error == f"{error.__name__}: raised by the layer" for o in report.outcomes)
+
+    def test_nonconverged_splits_are_left_out(self, monkeypatch):
+        spec = make_setting("1", 500, beta3=0.651)
+        ds = generate(spec, RandomSource(11).child("data"))
+        calls = []
+
+        def every_other_nonconverged(*args, **kwargs):
+            fit = fit_logistic(*args, **kwargs)
+            calls.append(None)
+            return fit if len(calls) % 2 else dataclasses.replace(fit, converged=False)
+
+        monkeypatch.setattr(gof, "fit_logistic", every_other_nonconverged)
+        splits = 10
+        report = multi_split_test(ds, spec.model_b, TestConfig(splits=splits),
+                                  RandomSource(11).child("m"))
+        payload = report_to_dict(report)
+        usable = report.outcomes[0::2]
+        assert [o.converged for o in report.outcomes] == [True, False] * (splits // 2)
+        assert not any(o.failed for o in report.outcomes)
+        assert report.n_failed == payload["decision"]["failed_splits"] == splits // 2
+        assert report.n_failed == splits - payload["statistic_summary"]["n_usable"]
+        p_values = sorted(o.p_value for o in usable)
+        assert report.median_p == p_values[(len(p_values) - 1) // 2]
+        total, max_group = Counter(), Counter()
+        for o in usable:
+            total.update(o.counts_all)
+            max_group.update(o.counts_max_group)
+        assert sum(t for _, t, _ in report.ranking) == sum(total.values()) > 0
+        assert {n: (t, m) for n, t, m in report.ranking} == {
+            n: (total[n], max_group[n]) for n in total | max_group
+        }
 
     def test_programming_errors_propagate(self, monkeypatch):
         spec = make_setting("1", 200, beta3=0.651)

@@ -101,6 +101,16 @@ class TestGenerate:
         with pytest.raises(ValueError):
             make_setting("9", 500)
 
+    @pytest.mark.parametrize("setting, params, name", [
+        ("4", {"beta3": 0.9}, "beta3"),
+        ("3", {"beta3": 0.9}, "beta3"),
+        ("nn-example", {"chi2_df": 8}, "chi2_df"),
+        ("1", {"beta3": 0.9, "chi2_df": 8}, "chi2_df"),
+    ])
+    def test_parameter_the_design_does_not_take(self, setting, params, name):
+        with pytest.raises(ValueError, match=f"setting {setting} takes no {name}"):
+            make_setting(setting, 500, **params)
+
     def test_variants(self):
         assert default_variants("1") == [{"beta3": 0.217}, {"beta3": 0.651}]
         assert default_variants("3") == [{"chi2_df": 4}, {"chi2_df": 8}]
