@@ -32,7 +32,7 @@ from .formula import FormulaError, design_matrix, parse_formula
 from .glm import fit_logistic, predict_prob
 from .gof import TestConfig, hl_test, multi_split_test, report_to_dict
 from .numkit import RandomSource
-from .sim import SETTINGS, MethodSpec, default_variants, make_setting, run_experiment
+from .sim import DEFAULT_METHODS, SETTINGS, MethodSpec, default_variants, make_setting, run_experiment
 
 __all__ = ["main", "parse_csv", "run_test_command", "run_experiment_command", "CliError"]
 
@@ -428,13 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
     hl.add_argument("--output", default=None)
 
     exp = subs.add_parser("experiment", help="reproduce the built-in size/power experiments")
-    exp.add_argument("--setting", required=True, help="1|2|3|4|5|nn-example")
+    exp.add_argument("--setting", required=True, help="|".join(SETTINGS))
     exp.add_argument("--n", type=int, default=500, help="sample size per replication")
     exp.add_argument("--reps", type=int, default=500, help="number of replications")
     exp.add_argument("--beta3", type=float, default=None, help="run a single coefficient variant")
     exp.add_argument("--chi2-df", type=int, default=None, help="run a single chi-squared variant")
-    exp.add_argument("--methods", default="hl-a,hl-b,bag-a,bag-b",
-                     help="comma list of hl-a,hl-b,bag-a,bag-b")
+    method_labels = ",".join(m.label for m in DEFAULT_METHODS)
+    exp.add_argument("--methods", default=method_labels, help=f"comma list of {method_labels}")
     exp.add_argument("--splits", type=int, default=100, help="splits per adaptive test")
     exp.add_argument("--alpha", type=float, default=0.05)
     exp.add_argument("--seed", type=int, default=None)

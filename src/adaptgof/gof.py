@@ -252,6 +252,8 @@ class TestConfig:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("k must be at least 2")
+        if self.n_min is not None and self.n_min < 1:
+            raise ValueError("n_min must be at least 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.splits < 1:
@@ -574,7 +576,8 @@ def report_to_dict(report: TestReport) -> dict:
         "decision": {
             "reject": report.reject,
             "inconclusive": report.inconclusive,
-            "median_p": report.median_p,
+            # no usable split leaves the median undefined; JSON has no NaN
+            "median_p": None if math.isnan(report.median_p) else report.median_p,
             "threshold": report.threshold,
             "alpha": report.config.alpha,
             "splits": report.config.splits,

@@ -28,7 +28,11 @@ Each group's term of the grouped chi-squared value, (residual sum)^2 /
 
 Determinism matters here: ties in the cut search are broken first by larger
 criterion value, then by lexicographically smaller source name, then by
-smaller threshold (or smaller membership set).
+smaller threshold (or the earlier label set in candidate order). The values
+compared are the computed ones, so this holds only up to rounding: a
+threshold cut's running sums and a membership cut's masked sums round
+differently, so of two cuts with equal B in exact arithmetic the one with the
+larger computed B wins, whatever the name order says.
 """
 
 from __future__ import annotations

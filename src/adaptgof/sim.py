@@ -13,10 +13,11 @@ design     true logit                                             model under as
 nn-example 7 covariates incl. a strong quartic in x7              drops the quartic
 =========  =====================================================  =====================
 
-Model "A" always denotes the correctly specified fit, model "B" the underfit
-variant. Covariate draws are U(-3,3), N(0, variance), chi-squared, Bernoulli;
-designs 2 and 3 carry derived columns (x3 = x1*x2, x4 = x1^2) that are part of
-the dataset and therefore available to the partition search.
+Model "A" is the formula of the true terms (the correctly specified fit) and
+model "B" omits one of them (the underfit variant). Covariate draws are
+U(-3,3), N(0, variance), chi-squared, Bernoulli; designs 2 and 3 carry derived
+columns (x3 = x1*x2, x4 = x1^2), each a formula term over the draws, that are
+part of the dataset and therefore available to the partition search.
 
 Training of auxiliary models (neural nets, random forests) is out of scope;
 their fitted probabilities enter through ``score_injection``.
@@ -59,7 +60,7 @@ class SettingSpec:
     n: int
     variant: str
     covariates: tuple          # (name, kind, dist spec) in draw order
-    derived: tuple             # (name, op, operands) computed after the draws
+    derived: tuple             # (name, formula term string) computed after the draws
     beta0: float
     true_terms: tuple          # (formula term string, coefficient)
     model_a: Formula
@@ -75,6 +76,22 @@ def default_variants(setting: str) -> list:
     if setting == "3":
         return [{"chi2_df": 4}, {"chi2_df": 8}]
     return [{}]
+
+
+_UNIFORM = ("uniform", -3.0, 3.0)
+_NORMAL = ("normal", 0.0, 2.25)
+
+
+def _design(setting: str, n: int, variant: str, covariates: tuple, beta0: float,
+            true_terms: tuple, omitted: str, derived: tuple = ()) -> SettingSpec:
+    """A design whose model A is the formula of its true terms and whose model B omits one."""
+    texts = [text for text, _ in true_terms]
+    return SettingSpec(
+        setting, n, variant, covariates=covariates, derived=derived, beta0=beta0,
+        true_terms=true_terms,
+        model_a=parse_formula(" + ".join(texts)),
+        model_b=parse_formula(" + ".join(t for t in texts if t != omitted)),
+    )
 
 
 def make_setting(setting: str, n: int, *, beta3: float | None = None,
@@ -93,80 +110,51 @@ def make_setting(setting: str, n: int, *, beta3: float | None = None,
         raise ValueError(f"setting {setting} takes no chi2_df parameter (setting 3 does)")
     if setting == "1":
         b3 = 0.651 if beta3 is None else float(beta3)
-        return SettingSpec(
+        return _design(
             setting, n, f"beta3={b3}",
-            covariates=(("x1", CONTINUOUS, ("uniform", -3.0, 3.0)),
-                        ("x2", CONTINUOUS, ("normal", 0.0, 2.25)),
-                        ("x3", CONTINUOUS, ("chisq", 4))),
-            derived=(),
-            beta0=0.0,
-            true_terms=(("x1", 0.267), ("x2", 0.267), ("x3", b3)),
-            model_a=parse_formula("x1 + x2 + x3"),
-            model_b=parse_formula("x1 + x2"),
+            (("x1", CONTINUOUS, _UNIFORM), ("x2", CONTINUOUS, _NORMAL),
+             ("x3", CONTINUOUS, ("chisq", 4))),
+            0.0, (("x1", 0.267), ("x2", 0.267), ("x3", b3)), omitted="x3",
         )
     if setting == "2":
         b3 = 0.8 if beta3 is None else float(beta3)
-        return SettingSpec(
+        return _design(
             setting, n, f"beta3={b3}",
-            covariates=(("x1", CONTINUOUS, ("uniform", -3.0, 3.0)),
-                        ("x2", CONTINUOUS, ("uniform", -3.0, 3.0))),
-            derived=(("x3", "product", ("x1", "x2")),),
-            beta0=0.0,
-            true_terms=(("x1", 0.3), ("x2", 0.3), ("x1*x2", b3)),
-            model_a=parse_formula("x1 + x2 + x1*x2"),
-            model_b=parse_formula("x1 + x2"),
+            (("x1", CONTINUOUS, _UNIFORM), ("x2", CONTINUOUS, _UNIFORM)),
+            0.0, (("x1", 0.3), ("x2", 0.3), ("x1*x2", b3)), omitted="x1*x2",
+            derived=(("x3", "x1*x2"),),
         )
     if setting == "3":
         df = 4 if chi2_df is None else int(chi2_df)
-        return SettingSpec(
+        return _design(
             setting, n, f"chi2_df={df}",
-            covariates=(("x1", CONTINUOUS, ("uniform", -3.0, 3.0)),
-                        ("x2", CONTINUOUS, ("normal", 0.0, 2.25)),
-                        ("x3", CONTINUOUS, ("chisq", df))),
-            derived=(("x4", "square", ("x1",)),),
-            beta0=-2.0,
-            true_terms=(("x1", 0.3), ("x2", 0.3), ("x3", 0.3), ("x1^2", 0.3)),
-            model_a=parse_formula("x1 + x2 + x3 + x1^2"),
-            model_b=parse_formula("x1 + x2 + x3"),
+            (("x1", CONTINUOUS, _UNIFORM), ("x2", CONTINUOUS, _NORMAL),
+             ("x3", CONTINUOUS, ("chisq", df))),
+            -2.0, (("x1", 0.3), ("x2", 0.3), ("x3", 0.3), ("x1^2", 0.3)), omitted="x1^2",
+            derived=(("x4", "x1^2"),),
         )
     if setting == "4":
-        return SettingSpec(
+        return _design(
             setting, n, "",
-            covariates=(("x1", CONTINUOUS, ("normal", 0.0, 2.25)),
-                        ("x2", CONTINUOUS, ("chisq", 4))),
-            derived=(),
-            beta0=0.0,
-            true_terms=(("x1", 0.267), ("x2", 0.267)),
-            model_a=parse_formula("x1 + x2"),
-            model_b=parse_formula("x1"),
+            (("x1", CONTINUOUS, _NORMAL), ("x2", CONTINUOUS, ("chisq", 4))),
+            0.0, (("x1", 0.267), ("x2", 0.267)), omitted="x2",
         )
     if setting == "5":
-        return SettingSpec(
+        return _design(
             setting, n, "",
-            covariates=(("x1", CONTINUOUS, ("uniform", -3.0, 3.0)),
-                        ("x2", CONTINUOUS, ("chisq", 2))),
-            derived=(),
-            beta0=-2.0,
-            true_terms=(("x1", 0.3), ("x2", 0.3), ("x1^2", 0.3)),
-            model_a=parse_formula("x1 + x2 + x1^2"),
-            model_b=parse_formula("x1 + x2"),
+            (("x1", CONTINUOUS, _UNIFORM), ("x2", CONTINUOUS, ("chisq", 2))),
+            -2.0, (("x1", 0.3), ("x2", 0.3), ("x1^2", 0.3)), omitted="x1^2",
         )
     if setting == "nn-example":
-        return SettingSpec(
+        return _design(
             setting, n, "",
-            covariates=(("x1", CONTINUOUS, ("uniform", -3.0, 3.0)),
-                        ("x2", CONTINUOUS, ("uniform", -3.0, 3.0)),
-                        ("x3", CONTINUOUS, ("normal", 0.0, 2.25)),
-                        ("x4", CONTINUOUS, ("normal", 0.0, 2.25)),
-                        ("x5", CONTINUOUS, ("chisq", 4)),
-                        ("x6", DISCRETE, ("bernoulli", 0.5)),
-                        ("x7", CONTINUOUS, ("normal", 0.0, 4.0))),
-            derived=(),
-            beta0=-0.15,
-            true_terms=(("x1", 0.3), ("x2", 0.3), ("x3", 0.1), ("x4", 0.2),
-                        ("x5", 0.2), ("x6", 0.3), ("x7", 0.3), ("x7^4", 3.0)),
-            model_a=parse_formula("x1 + x2 + x3 + x4 + x5 + x6 + x7 + x7^4"),
-            model_b=parse_formula("x1 + x2 + x3 + x4 + x5 + x6 + x7"),
+            (("x1", CONTINUOUS, _UNIFORM), ("x2", CONTINUOUS, _UNIFORM),
+             ("x3", CONTINUOUS, _NORMAL), ("x4", CONTINUOUS, _NORMAL),
+             ("x5", CONTINUOUS, ("chisq", 4)), ("x6", DISCRETE, ("bernoulli", 0.5)),
+             ("x7", CONTINUOUS, ("normal", 0.0, 4.0))),
+            -0.15,
+            (("x1", 0.3), ("x2", 0.3), ("x3", 0.1), ("x4", 0.2),
+             ("x5", 0.2), ("x6", 0.3), ("x7", 0.3), ("x7^4", 3.0)), omitted="x7^4",
         )
     raise ValueError(f"unknown setting {setting!r}")
 
@@ -184,41 +172,24 @@ def _draw(dist, rng: RandomSource, n: int) -> np.ndarray:
     raise ValueError(f"unknown distribution {kind!r}")
 
 
-def _true_logit(spec: SettingSpec, columns: dict, n: int) -> np.ndarray:
-    ds = Dataset(y=np.zeros(n, dtype=int), columns=columns,
-                 kinds={name: CONTINUOUS for name in columns})
-    logit = np.full(n, spec.beta0)
-    for term_text, coef in spec.true_terms:
-        term = parse_formula(term_text).terms[0]
-        logit += coef * term.evaluate(ds)
-    return logit
-
-
 def true_probabilities(spec: SettingSpec, dataset: Dataset) -> np.ndarray:
-    """True success probabilities of a generated dataset, recomputed from columns."""
-    logit = _true_logit(spec, dataset.columns, dataset.n)
+    """True success probabilities of a dataset, recomputed from its columns."""
+    # model A holds the true terms, parsed, in the order of true_terms
+    logit = np.full(dataset.n, spec.beta0)
+    for term, (_, coef) in zip(spec.model_a.terms, spec.true_terms):
+        logit += coef * term.evaluate(dataset)
     return 1.0 / (1.0 + np.exp(-logit))
 
 
 def generate(spec: SettingSpec, rng: RandomSource) -> Dataset:
     """Draw one dataset from a design; identical rng state gives identical bytes."""
-    columns = {}
-    kinds = {}
-    for name, kind, dist in spec.covariates:
-        columns[name] = _draw(dist, rng, spec.n)
-        kinds[name] = kind
-    for name, op, operands in spec.derived:
-        if op == "product":
-            columns[name] = columns[operands[0]] * columns[operands[1]]
-        elif op == "square":
-            columns[name] = columns[operands[0]] ** 2
-        else:
-            raise ValueError(f"unknown derived op {op!r}")
-        kinds[name] = CONTINUOUS
-    logit = _true_logit(spec, columns, spec.n)
-    prob = 1.0 / (1.0 + np.exp(-logit))
-    y = rng.bernoulli(prob, size=spec.n)
-    return Dataset(y=y, columns=columns, kinds=kinds)
+    drawn = Dataset(y=np.zeros(spec.n, dtype=int),
+                    columns={name: _draw(dist, rng, spec.n) for name, _, dist in spec.covariates},
+                    kinds={name: kind for name, kind, _ in spec.covariates})
+    for name, text in spec.derived:
+        drawn = drawn.with_column(name, parse_formula(text).terms[0].evaluate(drawn))
+    y = rng.bernoulli(true_probabilities(spec, drawn), size=spec.n)
+    return Dataset(y=y, columns=drawn.columns, kinds=drawn.kinds)
 
 
 def score_injection(dataset: Dataset, scores, name: str = "score") -> Dataset:

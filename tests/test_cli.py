@@ -206,6 +206,18 @@ class TestTestCommand:
         assert "k must be at least 2" in captured.err
         assert "INCONCLUSIVE" not in captured.out
 
+    @pytest.mark.parametrize("partition", ["covariates", "mta-prob", "score:s"])
+    def test_n_min_below_one_is_an_error(self, tmp_path, capsys, partition):
+        path = tmp_path / "scored.csv"
+        path.write_text("y,x1,s\n" + "".join(f"{i % 2},{i * 0.1},{(i % 10) / 10}\n"
+                                             for i in range(60)))
+        code = main(["test", "--input", str(path), "--response", "y", "--formula", "x1",
+                     "--n-min", "-5", "--partition", partition, "--splits", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "n_min must be at least 1" in captured.err
+        assert "decision" not in captured.out
+
     def test_nan_in_unused_covariate_is_an_error(self, tmp_path, capsys):
         spec = make_setting("1", 200, beta3=0.651)
         ds = generate(spec, RandomSource(8).child("data"))

@@ -381,6 +381,16 @@ class TestMultiSplit:
         assert report.reject is None
         assert report.n_failed == 6
 
+        def reject_constant(name):
+            raise ValueError(f"{name} is not valid JSON")
+
+        payload = json.loads(json.dumps(report_to_dict(report)), parse_constant=reject_constant)
+        assert payload["decision"]["median_p"] is None
+        assert [list(split) for split in payload["splits"]] == [["split", "failed", "error"]] * 6
+        assert payload["splits"] == [
+            {"split": i, "failed": True, "error": o.error} for i, o in enumerate(report.outcomes)
+        ]
+
     @pytest.mark.parametrize("error", [ValueError, CoverageError, np.linalg.LinAlgError])
     def test_split_dependent_errors_count_as_failed_splits(self, monkeypatch, error):
         spec = make_setting("1", 200, beta3=0.651)

@@ -13,6 +13,7 @@ from adaptgof import (
 from adaptgof.formula import design_matrix
 from adaptgof.sim import (
     DEFAULT_METHODS,
+    SETTINGS,
     MethodSpec,
     default_variants,
     generate,
@@ -88,6 +89,19 @@ class TestGenerate:
         logit = (-0.15 + 0.3 * 0.5 + 0.3 * -1.0 + 0.1 * 2.0 + 0.2 * 0.0
                  + 0.2 * 1.0 + 0.3 * 1.0 + 0.3 * -0.5 + 3.0 * (-0.5) ** 4)
         assert_allclose(true_probabilities(spec, ds), 1 / (1 + np.exp(-logit)))
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_models_follow_the_true_terms(self, setting):
+        spec = make_setting(setting, 500)
+        assert [t.canonical() for t in spec.model_a.terms] == [t for t, _ in spec.true_terms]
+        kept = tuple(t for t in spec.model_a.terms if t in spec.model_b.terms)
+        assert kept == spec.model_b.terms
+        assert len(spec.model_b.terms) == len(spec.model_a.terms) - 1
+        ds = generate(spec, RandomSource(12).child("data"))
+        beta = np.array([spec.beta0] + [c for _, c in spec.true_terms])
+        logit = design_matrix(ds, spec.model_a).values @ beta
+        assert_allclose(true_probabilities(spec, ds), 1 / (1 + np.exp(-logit)),
+                        rtol=0, atol=1e-12)
 
     def test_determinism_byte_for_byte(self):
         spec = make_setting("2", 3_000, beta3=0.5)
