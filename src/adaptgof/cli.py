@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .data import CONTINUOUS, DISCRETE, Dataset
 from .formula import FormulaError, design_matrix, parse_formula
-from .glm import fit_logistic, predict_prob
+from .glm import fit_logistic
 from .gof import TestConfig, hl_test, multi_split_test, report_to_dict
 from .numkit import RandomSource
 from .sim import DEFAULT_METHODS, SETTINGS, MethodSpec, default_variants, make_setting, run_experiment
@@ -272,7 +272,7 @@ def run_hl_command(args) -> int:
         formula = parse_formula(args.formula)
         x = design_matrix(dataset, formula)
         model = fit_logistic(x, dataset.y)
-        result = hl_test(dataset.y, predict_prob(model, x), k=args.groups)
+        result = hl_test(dataset.y, model.fitted_prob, k=args.groups)
     except (FormulaError, ValueError) as exc:
         raise CliError(str(exc)) from exc
     payload = {

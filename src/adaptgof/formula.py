@@ -116,7 +116,11 @@ def parse_formula(text: str) -> Formula:
 
 
 def design_matrix(dataset: Dataset, formula: Formula) -> DesignMatrix:
-    """Build the intercept-plus-terms design matrix for a formula."""
+    """Build the intercept-plus-terms design matrix for a formula.
+
+    The values are column-major: each term's column is contiguous, so the IRLS
+    fit reads the transposed (p x n) design without a copy.
+    """
     missing = [n for n in formula.column_names() if n not in dataset.columns]
     if missing:
         raise FormulaError(f"formula references unknown columns: {', '.join(missing)}")
@@ -125,4 +129,4 @@ def design_matrix(dataset: Dataset, formula: Formula) -> DesignMatrix:
     for term in formula.terms:
         cols.append(term.evaluate(dataset))
         names.append(term.canonical())
-    return DesignMatrix(values=np.column_stack(cols), names=tuple(names))
+    return DesignMatrix(values=np.stack(cols).T, names=tuple(names))

@@ -332,6 +332,11 @@ def _plan(config: TestConfig, dataset: Dataset) -> tuple:
     return n_train, pcfg, presort(dataset.columns, pcfg.continuous), None
 
 
+def _take_rows(x: DesignMatrix, idx: np.ndarray) -> DesignMatrix:
+    """Rows ``idx`` of a column-major design, gathered into a column-major design."""
+    return DesignMatrix(x.values.T.take(idx, axis=1).T, x.names)
+
+
 def _split_once(
     dataset: Dataset,
     x_full: DesignMatrix,
@@ -346,11 +351,12 @@ def _split_once(
     train_idx = np.sort(perm[:n_train])
     test_idx = np.sort(perm[n_train:])
 
-    x_train = DesignMatrix(x_full.values[train_idx], x_full.names)
-    x_test = DesignMatrix(x_full.values[test_idx], x_full.names)
+    x_train = _take_rows(x_full, train_idx)
+    x_test = _take_rows(x_full, test_idx)
+    y_train = dataset.y[train_idx]
     y_test = dataset.y[test_idx]
-    model = fit_logistic(x_train, dataset.y[train_idx])
-    phat_train = predict_prob(model, x_train)
+    model = fit_logistic(x_train, y_train)
+    phat_train = model.fitted_prob
     phat_test = predict_prob(model, x_test)
 
     if pcfg is not None:
@@ -361,9 +367,7 @@ def _split_once(
         rank = np.cumsum(member) - 1
         train_order = {s: rank[np.compress(member[o], o)] for s, o in order.items()}
         train_cols = {s: dataset.columns[s][train_idx] for s in pcfg.continuous + pcfg.discrete}
-        part = greedy_partition(
-            pcfg, train_cols, dataset.y[train_idx], phat_train, order=train_order
-        )
+        part = greedy_partition(pcfg, train_cols, y_train, phat_train, order=train_order)
         groups = assign_groups(part, {s: dataset.columns[s][test_idx] for s in part.sources})
     else:
         if scores is None:

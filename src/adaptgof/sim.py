@@ -264,7 +264,7 @@ def _run_method(method: MethodSpec, dataset: Dataset, spec: SettingSpec,
         # converged=True with saturated probabilities (ROADMAP item 1)
         if not model.converged:
             return None
-        result = hl_test(dataset.y, predict_prob(model, x), k=method.k or 10)
+        result = hl_test(dataset.y, model.fitted_prob, k=method.k or 10)
         if result.failed:
             return None
         return bool(result.p_value < alpha)

@@ -334,7 +334,8 @@ def greedy_partition_oracle(config, columns, y, phat):
 #
 # Masked logistic, np.clip, scipy's solve_triangular, and x @ beta evaluated
 # again for every probability, log-likelihood and the final information. The
-# fit, predict_prob and bag_gradient must reproduce these bit for bit.
+# fit, predict_prob and bag_gradient must agree with these to the tolerances
+# that test_glm.TestFitMatchesOracle states.
 
 
 def _logistic_oracle(eta):
@@ -439,6 +440,7 @@ def fit_logistic_oracle(x, y):
         log_likelihood=_log_likelihood_oracle(xv, yv, beta),
         names=x.names,
         ll_path=tuple(ll_path),
+        fitted_prob=prob,
     )
 
 

@@ -166,6 +166,22 @@ class TestTestCommand:
         payload = json.loads(out.read_text())
         assert payload["decision"]["reject"] is False
 
+    def test_fit_whose_last_newton_gain_is_rounding_converges(self, tmp_path):
+        # split 11 reaches a point where the full Newton step gains less than
+        # the rounding of the summed log-likelihood; a strict step test halved
+        # that step to nothing and repeated it up to the iteration cap, so the
+        # split counted as failed
+        ds = generate(make_setting("3", 500), RandomSource(1).child("data"))
+        path = tmp_path / "s3.csv"
+        write_dataset_csv(ds, path)
+        out = tmp_path / "report.json"
+        assert main(["test", "--input", str(path), "--response", "y",
+                     "--formula", "x1 + x2 + x3", "--seed", "3",
+                     "--output", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["splits"][11]["converged"] is True
+        assert payload["decision"]["failed_splits"] == 0
+
     def test_reports_are_byte_identical(self, tmp_path):
         path = setting1_csv(tmp_path, n=200)
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
