@@ -48,14 +48,6 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
-
-
 def parse_csv(path: str, response: str, overrides: dict | None = None) -> Dataset:
     """Load a CSV file with a header row into a typed dataset.
 
@@ -63,13 +55,13 @@ def parse_csv(path: str, response: str, overrides: dict | None = None) -> Datase
     automatically (all-numeric -> continuous, otherwise discrete) unless
     ``overrides`` maps the name to an explicit kind. Rows with missing values,
     non-finite numbers (``nan``, ``inf``) in continuous columns and non-binary
-    responses are rejected with their row numbers (the header is row 1).
+    responses are rejected with their row numbers (the header is row 1). A
+    leading UTF-8 byte-order mark is dropped.
     """
     overrides = overrides or {}
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -85,46 +77,35 @@ def parse_csv(path: str, response: str, overrides: dict | None = None) -> Datase
     body = rows[1:]
     if not body:
         raise CliError(f"{path} has a header but no data rows")
-
-    missing = []
     for i, row in enumerate(body, start=2):
         if len(row) != len(header):
             raise CliError(f"{path} row {i}: expected {len(header)} fields, found {len(row)}")
-        if any(cell.strip() == "" for cell in row):
-            missing.append(i)
+
+    cells = {name: [c.strip() for c in col] for name, col in zip(header, zip(*body))}
+    missing = sorted({i for values in cells.values() if "" in values
+                      for i, v in enumerate(values, start=2) if not v})
     if missing:
         raise CliError(f"{path} has missing values in rows: {_row_list(missing)}")
 
-    cells = {name: [row[j].strip() for row in body] for j, name in enumerate(header)}
-
-    y = np.empty(len(body), dtype=np.int64)
-    for i, cell in enumerate(cells[response]):
-        if cell in ("0", "1"):
-            y[i] = int(cell)
-        elif _is_number(cell) and float(cell) in (0.0, 1.0):
-            y[i] = int(float(cell))
-        else:
-            raise CliError(
-                f"{path} row {i + 2}: response value {cell!r} is not 0 or 1"
-            )
+    y = _floats(cells[response])
+    if y is None or not ((y == 0.0) | (y == 1.0)).all():
+        bad = _first_row(cells[response], lambda f: f in (0.0, 1.0))
+        raise CliError(
+            f"{path} row {bad}: response value {cells[response][bad - 2]!r} is not 0 or 1"
+        )
 
     columns = {}
     kinds = {}
     finite = np.ones(len(body), dtype=bool)
-    for name in header:
+    for name, values in cells.items():
         if name == response:
             continue
-        values = cells[name]
-        try:
-            numbers = np.array([float(v) for v in values])
-        except ValueError:
-            numbers = None
+        numbers = _floats(values)
         kind = overrides.get(name, DISCRETE if numbers is None else CONTINUOUS)
         if kind == CONTINUOUS:
             if numbers is None:
-                bad = next(i for i, v in enumerate(values, start=2) if not _is_number(v))
                 raise CliError(
-                    f"column {name!r} was declared continuous but row {bad} "
+                    f"column {name!r} was declared continuous but row {_first_row(values)} "
                     f"holds a non-numeric value"
                 )
             columns[name] = numbers
@@ -136,6 +117,20 @@ def parse_csv(path: str, response: str, overrides: dict | None = None) -> Datase
         bad = (np.flatnonzero(~finite) + 2).tolist()
         raise CliError(f"{path} has non-finite values (nan or inf) in rows: {_row_list(bad)}")
     return Dataset(y=y, columns=columns, kinds=kinds)
+
+
+def _floats(values):
+    """The cells as a float array, or None when ``float`` rejects one."""
+    try:
+        return np.array([float(v) for v in values])
+    except ValueError:
+        return None
+
+
+def _first_row(values, accept=lambda f: True) -> int:
+    """Row number of the first cell that ``float`` rejects or ``accept`` refuses."""
+    return next(i for i, v in enumerate(values, start=2)
+                if (f := _floats([v])) is None or not accept(f[0]))
 
 
 def _row_list(rows: list) -> str:
@@ -167,15 +162,17 @@ def _config_hash(payload: dict) -> str:
 
 
 def _default_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get(_SEED_ENV)
-    if env is not None:
+    """``--seed``, else ``$ADAPTGOF_SEED``, else 0; a ``RandomSource`` takes [0, 2^64)."""
+    name, seed = "--seed", value
+    if value is None:
+        name, seed = _SEED_ENV, os.environ.get(_SEED_ENV, "0")
         try:
-            return int(env)
+            seed = int(seed)
         except ValueError as exc:
-            raise CliError(f"{_SEED_ENV} must be an integer, got {env!r}") from exc
-    return 0
+            raise CliError(f"{_SEED_ENV} must be an integer, got {seed!r}") from exc
+    if not 0 <= seed < 2**64:
+        raise CliError(f"{name} must lie in [0, 2^64), got {seed}")
+    return int(seed)
 
 
 def _partition_settings(mode: str) -> tuple:
@@ -209,6 +206,8 @@ def run_test_command(args) -> int:
     """``test`` and ``diagnose``: ``diagnose`` always prints the ranking."""
     if args.train_size is not None and args.train_fraction is not None:
         raise CliError("--train-size and --train-fraction are alternatives; pass at most one")
+    if args.top < 0:
+        raise CliError(f"--top must be at least 0, got {args.top}")
     run_config = _run_config(args)
     dataset = parse_csv(args.input, args.response)
     try:

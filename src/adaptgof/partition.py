@@ -37,7 +37,7 @@ larger computed B wins, whatever the name order says.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,43 +277,42 @@ def _quantile_cuts(srt: np.ndarray, k: int) -> tuple:
 def candidate_discrete_splits(labels, n_min: int, residuals=None) -> list:
     """Feasible binary label-set splits for one discrete column of one group.
 
-    Each split is returned as the sorted tuple of labels on the "in" side;
+    Each split is returned as the labels on the "in" side, sorted by ``str``;
     the other side is the complement. With m <= 6 distinct labels all
     2^(m-1) - 1 set splits are enumerated; with m > 6 the labels are ordered
     by within-group mean residual and only the m - 1 contiguous splits of
     that ordering are considered (``residuals`` is required then).
     """
-    labs = np.asarray(labels)
-    n0 = labs.size
-    distinct = sorted(set(labs.tolist()))
-    m = len(distinct)
-    if m < 2:
-        return []
-    counts = Counter(labs.tolist())
+    labels, _, sides = _label_sides(np.asarray(labels), n_min, residuals)
+    return [tuple(sorted(labels[side].tolist(), key=str)) for side in sides]
 
+
+def _label_sides(labs, n_min: int, residuals):
+    """Code a group's labels once and list its feasible "in" sides.
+
+    Returns ``(labels, codes, sides)``: the sorted distinct labels, each row's
+    index into them, and a boolean (candidate x label) array of the sides
+    that leave ``n_min`` rows on both sides, in candidate order: for m <= 6
+    labels every subset holding the first label, counted in binary; for m > 6
+    the prefixes of the labels ranked by (mean residual, ``str(label)``).
+    """
+    labels, codes = np.unique(labs, return_inverse=True)
+    m = labels.size
+    if m < 2:
+        return labels, codes, np.empty((0, m), dtype=bool)
     if m <= _ENUMERATION_LIMIT:
-        first, rest = distinct[0], distinct[1:]
-        subsets = []
-        for bits in range(2 ** len(rest)):
-            side = [first] + [lab for i, lab in enumerate(rest) if bits >> i & 1]
-            if len(side) == m:
-                continue
-            subsets.append(tuple(side))
+        odd = 2 * np.arange(2 ** (m - 1) - 1) + 1  # bit 0, the first label, always set
+        sides = (odd[:, None] >> np.arange(m) & 1).astype(bool)
     else:
         if residuals is None:
             raise ValueError("residuals are required to order more than "
                              f"{_ENUMERATION_LIMIT} distinct labels")
         r = np.asarray(residuals, dtype=float)
-        means = {lab: float(r[labs == lab].mean()) for lab in distinct}
-        ordered = sorted(distinct, key=lambda lab: (means[lab], str(lab)))
-        subsets = [tuple(sorted(ordered[: i + 1])) for i in range(m - 1)]
-
-    out = []
-    for side in subsets:
-        size = sum(counts[lab] for lab in side)
-        if size >= n_min and n0 - size >= n_min:
-            out.append(tuple(sorted(side, key=str)))
-    return out
+        keys = [(r[codes == c].mean(), str(lab)) for c, lab in enumerate(labels.tolist())]
+        rank = np.argsort(sorted(range(m), key=keys.__getitem__))  # each label's place
+        sides = rank < np.arange(1, m)[:, None]
+    size = sides @ np.bincount(codes, minlength=m)
+    return labels, codes, sides[(size >= n_min) & (codes.size - size >= n_min)]
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +365,16 @@ def _best_threshold_cuts(columns, orders, rv, n_min):
 
 def _best_discrete_cut(labs, resid, var, n_min):
     """Best membership split for one column: (children B, label tuple) or None."""
-    cands = candidate_discrete_splits(labs, n_min, residuals=resid)
-    if not cands:
-        return None
+    labels, codes, sides = _label_sides(labs, n_min, resid)
     tot_r, tot_v = float(resid.sum()), float(var.sum())
     best = None
-    for side in cands:  # candidate order is deterministic; ties keep the first
-        mask = np.isin(labs, np.asarray(side))
+    for side in sides:  # candidate order is deterministic; ties keep the first
+        mask = side[codes]  # masked sums: bincount sums round differently, flipping near-ties
         lr, lv = float(resid[mask].sum()), float(var[mask].sum())
         b = lr**2 / lv + (tot_r - lr) ** 2 / (tot_v - lv)
         if best is None or b > best[0]:
             best = (float(b), side)
-    return best
+    return None if best is None else (best[0], tuple(sorted(labels[best[1]].tolist(), key=str)))
 
 
 def presort(columns: dict, names) -> dict:
@@ -452,18 +449,17 @@ def greedy_partition(
         idx, rules, orders = node
         _, source, kind, payload = found
         if kind == "le":
-            left = cols[source] <= payload
-            left_rule = AxisRule(source, "le", threshold=payload)
-            right_rule = AxisRule(source, "gt", threshold=payload)
+            pair = (AxisRule(source, "le", threshold=payload),
+                    AxisRule(source, "gt", threshold=payload))
         else:
-            left = np.isin(cols[source], np.asarray(payload))
-            left_rule = AxisRule(source, "in", labels=payload)
-            right_rule = AxisRule(source, "not-in", labels=payload)
+            pair = (AxisRule(source, "in", labels=payload),
+                    AxisRule(source, "not-in", labels=payload))
+        left = pair[0].matches(cols)
         # compress gives what boolean indexing gives, several times
         # faster on scattered masks
         return [
             (idx.compress(side[idx]), rules + (rule,), [o.compress(side[o]) for o in orders])
-            for side, rule in ((left, left_rule), (~left, right_rule))
+            for side, rule in zip((left, ~left), pair)
         ]
 
     queue = deque([(np.arange(n), (), [np.asarray(order[s]) for s in ordered])])

@@ -7,7 +7,7 @@ values.
 """
 
 import math
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
@@ -19,7 +19,6 @@ from adaptgof.partition import (
     InfeasiblePartitionError,
     MissingColumnError,
     Partition,
-    candidate_discrete_splits,
     grouped_chi2,
 )
 
@@ -240,15 +239,66 @@ def probability_partition_oracle(scores, k, source="score"):
     return Partition(groups=tuple(groups), sources=(source,))
 
 
+def discrete_splits_oracle(labels, n_min, residuals=None):
+    """Label-set splits enumerated with python sets and a ``Counter``.
+
+    The "in" side of each feasible split as a tuple sorted by ``str``. With
+    m <= 6 labels every subset holding the smallest label, the others chosen
+    in binary counting order; with m > 6 the prefixes of the labels ordered by
+    (mean residual, ``str(label)``).
+    """
+    labs = np.asarray(labels)
+    n0 = labs.size
+    distinct = sorted(set(labs.tolist()))
+    m = len(distinct)
+    if m < 2:
+        return []
+    counts = Counter(labs.tolist())
+    if m <= 6:
+        first, rest = distinct[0], distinct[1:]
+        subsets = []
+        for bits in range(2 ** len(rest)):
+            side = [first] + [lab for i, lab in enumerate(rest) if bits >> i & 1]
+            if len(side) < m:
+                subsets.append(side)
+    else:
+        if residuals is None:
+            raise ValueError("residuals are required to order more than 6 distinct labels")
+        r = np.asarray(residuals, dtype=float)
+        means = {lab: float(r[labs == lab].mean()) for lab in distinct}
+        ordered = sorted(distinct, key=lambda lab: (means[lab], str(lab)))
+        subsets = [sorted(ordered[: i + 1]) for i in range(m - 1)]
+    out = []
+    for side in subsets:
+        size = sum(counts[lab] for lab in side)
+        if size >= n_min and n0 - size >= n_min:
+            out.append(tuple(sorted(side, key=str)))
+    return out
+
+
+def discrete_cut_oracle(labs, r, v, n_min):
+    """Best split of ``discrete_splits_oracle``: ``(B, labels)`` or None.
+
+    Each side's sums run over its ``np.isin`` mask; ties keep the first.
+    """
+    best = None
+    for side in discrete_splits_oracle(labs, n_min, residuals=r):
+        mask = np.isin(labs, np.asarray(side))
+        lr, lv = float(r[mask].sum()), float(v[mask].sum())
+        b = lr**2 / lv + (float(r.sum()) - lr) ** 2 / (float(v.sum()) - lv)
+        if best is None or b > best[0]:
+            best = (float(b), side)
+    return best
+
+
 def greedy_partition_oracle(config, columns, y, phat):
     """The greedy covariate search with a fresh sort of every node and column.
 
     Every node re-sorts each continuous column, scores its candidates in a
     python loop, and the root is scanned for feasibility and again when it is
     split. Tie-breaks: larger B, then the lexicographically smaller source,
-    then the smaller threshold or the earlier label set. Discrete label sets
-    come from ``candidate_discrete_splits``; only the continuous scan is
-    re-derived here.
+    then the smaller threshold or the earlier label set. Discrete cuts come
+    from ``discrete_cut_oracle``.
     """
     y = np.asarray(y, dtype=float)
     p = np.asarray(phat, dtype=float)
@@ -280,14 +330,7 @@ def greedy_partition_oracle(config, columns, y, phat):
         return best
 
     def discrete_cut(labs, r, v):
-        best = None
-        for side in candidate_discrete_splits(labs, config.n_min, residuals=r):
-            mask = np.isin(labs, np.asarray(side))
-            lr, lv = float(r[mask].sum()), float(v[mask].sum())
-            b = lr**2 / lv + (float(r.sum()) - lr) ** 2 / (float(v.sum()) - lv)
-            if best is None or b > best[0]:
-                best = (float(b), side)
-        return best
+        return discrete_cut_oracle(labs, r, v, config.n_min)
 
     def best_split(idx):
         if idx.size < 2 * config.n_min:

@@ -131,6 +131,51 @@ class TestParseCsv:
         with pytest.raises(CliError, match="not found"):
             parse_csv(str(path), "label")
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfy,x\n1,0.5\n0,1.5\n")
+        ds = parse_csv(str(path), "y")
+        assert list(ds.columns) == ["x"]
+        assert ds.y.tolist() == [1, 0]
+
+    def test_padded_cells(self, tmp_path):
+        path = tmp_path / "padded.csv"
+        path.write_text(" y , x ,  city\n 1 ,  0.5 , paris \n0,1.5,  london\n")
+        ds = parse_csv(str(path), "y")
+        assert ds.kinds == {"x": "continuous", "city": "discrete"}
+        assert ds.y.tolist() == [1, 0]
+        assert ds.columns["x"].tolist() == [0.5, 1.5]
+        assert ds.columns["city"].tolist() == ["paris", "london"]
+
+    def test_responses_spelled_as_floats(self, tmp_path):
+        path = tmp_path / "floats.csv"
+        path.write_text("y,x\n1.0,0.5\n0e0,1.5\n-0,2.5\n1e0,3.5\n")
+        ds = parse_csv(str(path), "y")
+        assert ds.y.dtype == np.int64
+        assert ds.y.tolist() == [1, 0, 0, 1]
+
+    def test_quoted_commas(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('y,place,x\n1,"Paris, France",0.5\n0," Lyon, France ",1.5\n')
+        ds = parse_csv(str(path), "y")
+        assert ds.columns["place"].tolist() == ["Paris, France", "Lyon, France"]
+        assert ds.columns["x"].tolist() == [0.5, 1.5]
+
+    def test_crlf_line_ends(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"y,x,city\r\n1,0.5,paris\r\n0,1.5,london\r\n")
+        ds = parse_csv(str(path), "y")
+        assert ds.y.tolist() == [1, 0]
+        assert ds.columns["x"].tolist() == [0.5, 1.5]
+        assert ds.columns["city"].tolist() == ["paris", "london"]
+
+    def test_first_bad_response_row_wins(self, tmp_path):
+        # a non-binary number before a non-number: the earlier row is named
+        path = tmp_path / "bad2.csv"
+        path.write_text("y,x\n1,0.5\n2,1.5\nyes,2.5\n")
+        with pytest.raises(CliError, match="row 3: response value '2' is not 0 or 1"):
+            parse_csv(str(path), "y")
+
 
 class TestFormulaRoundTrip:
     def test_canonical_is_fixed_point(self):
@@ -261,6 +306,16 @@ class TestTestCommand:
               "--splits", "10", "--seed", "33", "--output", str(out2)])
         assert json.loads(out1.read_text()) == json.loads(out2.read_text())
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_is_an_error(self, tmp_path, capsys, seed):
+        path = setting1_csv(tmp_path, n=200)
+        code = main(["test", "--input", path, "--response", "y", "--formula", "x1 + x2",
+                     "--splits", "5", "--seed", seed])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "--seed" in captured.err
+        assert "decision" not in captured.out
+
     def test_bad_partition_flag(self, tmp_path, capsys):
         path = setting1_csv(tmp_path, n=200)
         code = main(["test", "--input", path, "--response", "y",
@@ -306,8 +361,27 @@ class TestDiagnoseCommand:
         assert "top covariates" in out
         assert "x3" in out
 
+    def test_negative_top_is_an_error(self, tmp_path, capsys):
+        path = setting1_csv(tmp_path, n=200)
+        code = main(["diagnose", "--input", path, "--response", "y", "--formula", "x1 + x2",
+                     "--splits", "5", "--seed", "1", "--top", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "--top" in captured.err
+        assert "decision" not in captured.out
+
 
 class TestHlCommand:
+    def test_byte_order_mark_in_header(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        spec = make_setting("1", 200)
+        write_dataset_csv(generate(spec, RandomSource(5).child("data")), path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        code = main(["hl", "--input", str(path), "--response", "y", "--formula", "x1 + x2"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "statistic:" in captured.out
+
     def test_smoke(self, tmp_path, capsys):
         path = setting1_csv(tmp_path, n=500)
         out = tmp_path / "hl.json"
@@ -434,6 +508,22 @@ class TestExperimentCommand:
                      "--outdir", str(tmp_path / "out")])
         assert code == 1
         assert "--splits" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_is_usage_error(self, tmp_path, capsys, seed):
+        code = main(["experiment", "--setting", "4", "--n", "100", "--reps", "1",
+                     "--methods", "hl-a", "--seed", seed, "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_env_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ADAPTGOF_SEED", "-3")
+        code = main(["experiment", "--setting", "4", "--n", "100", "--reps", "1",
+                     "--methods", "hl-a", "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        assert "ADAPTGOF_SEED" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unknown_setting(self, tmp_path, capsys):

@@ -28,13 +28,15 @@ from adaptgof.cli import parse_csv
 from adaptgof.formula import design_matrix
 from adaptgof.glm import DesignMatrix
 from adaptgof.gof import TestConfig, default_train_size, single_split_test
-from adaptgof.partition import grouped_chi2, presort
+from adaptgof.partition import _best_discrete_cut, grouped_chi2, presort
 from adaptgof.sim import SETTINGS, generate, make_setting
 
 from _fixtures import (
     CRIT12_GROUPS,
     CRIT12_PHAT,
     CRIT12_Y,
+    discrete_cut_oracle,
+    discrete_splits_oracle,
     greedy_partition_oracle,
     grouped_chi2_oracle,
     probability_partition_oracle,
@@ -138,6 +140,45 @@ class TestCandidateDiscreteSplits:
 
     def test_single_label(self):
         assert candidate_discrete_splits(np.array(["A"] * 10), n_min=1) == []
+
+
+class TestDiscreteCutsMatchOracle:
+    """Coded labels give the sets, their order and the B of set enumeration."""
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    @pytest.mark.parametrize("kind", ["int", "str"])
+    def test_seeded_grid(self, kind, m):
+        rng = np.random.default_rng(100 * m + len(kind))
+        # two-digit and negative ints sort differently as numbers and as str
+        pool = (np.arange(m) - 3) * 7 if kind == "int" else np.array(
+            [f" l{i} " for i in range(m)], dtype=object)
+        for n in (m, 3 * m, 40):
+            codes = rng.integers(0, m, n)
+            labs = pool[codes]
+            p = rng.uniform(0.1, 0.9, n)
+            var = p * (1.0 - p)
+            counts = np.bincount(codes)
+            edges = {1, int(counts[counts > 0].min()), int(counts[counts > 0].min()) + 1,
+                     n // 2, n // 2 + 1}
+            # free residuals, then residual means tied across labels
+            for resid in (rng.normal(size=n), np.where(codes % 2 == 0, 0.25, -0.25)):
+                for n_min in sorted(e for e in edges if e >= 1):
+                    splits = candidate_discrete_splits(labs, n_min, residuals=resid)
+                    expected = discrete_splits_oracle(labs, n_min, residuals=resid)
+                    assert repr(splits) == repr(expected)
+                    cut = _best_discrete_cut(labs, resid, var, n_min)
+                    assert repr(cut) == repr(discrete_cut_oracle(labs, resid, var, n_min))
+
+    def test_mixed_types_near_tie_still_goes_to_city(self):
+        # in exact arithmetic age <= 42 ties city in {london} on the node
+        # age > 34 & smoker in {no}; the masked sums put city 4 ulps ahead
+        ds = parse_csv(str(FIXTURES / "mixed_types.csv"), "outcome")
+        phat = np.linspace(0.3, 0.7, ds.n)
+        for k in (4, 6):
+            cfg = PartitionConfig(k=k, n_min=2, continuous=ds.continuous_names,
+                                  discrete=ds.discrete_names)
+            part = greedy_partition(cfg, ds.columns, ds.y, phat)
+            assert part.groups[2].rules[-1] == AxisRule("city", "in", labels=("london",))
 
 
 def _scan_oracle(values, resid, var, n_min):
