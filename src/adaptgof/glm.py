@@ -27,6 +27,15 @@ n. ``formula.design_matrix`` builds its values column-major, which makes that
 transpose a view; any other design is copied once per fit. Each step solves
 its normal equations by plain Cholesky factorisation; a numerically singular
 system raises ``RankDeficiencyError``.
+
+There is one IRLS loop, ``_fit_stack``, written over a leading split axis: it
+fits s splits of equal shape (s x p x n) in lockstep, so a test's split loop
+(``gof.multi_split_test``) pays the per-call overhead of a step once per stack
+rather than once per split. ``fit_logistic`` is its one-split case. Every
+product is one per split in the stack's shape and every stop is per split, so
+a split's fit does not depend on what else is in its stack. A split leaves the
+stack when it converges, stops or fails, and only then are the remaining
+splits' rows gathered; a one-split stack copies no rows while it iterates.
 """
 
 from __future__ import annotations
@@ -139,32 +148,42 @@ def _prob_and_loglik(eta: np.ndarray, flip: np.ndarray) -> tuple:
     softplus(z) = max(z, 0) + log1p(exp(-|z|)) shares e = exp(-|eta|) with
     the probabilities. The max term is exact, so every row's term carries one
     rounding and all terms have one sign: the sum is accurate to a few ulps of
-    the log-likelihood itself, which is what the step test relies on.
+    the log-likelihood itself, which is what the step test relies on. Over a
+    stack of splits (``eta`` of shape s x n) it returns one log-likelihood per
+    split.
     """
     e = np.exp(-np.abs(eta))
     prob = _logistic_from(eta, e)
     terms = flip * eta
     np.maximum(terms, 0.0, out=terms)
     terms += np.log1p(e, out=e)
-    return prob, -float(terms.sum())
+    return prob, -terms.sum(axis=-1)
+
+
+def _linear(beta: np.ndarray, xt: np.ndarray) -> np.ndarray:
+    """Each split's linear predictors beta_j @ xt_j: (s, p) x (s, p, n) -> (s, n)."""
+    return (beta[:, None, :] @ xt)[:, 0, :]
 
 
 def _weighted_gram(xt: np.ndarray, prob: np.ndarray) -> np.ndarray:
-    """X' W X with W_ii = p_i (1 - p_i), from the transposed (p x n) design.
+    """Each split's X' W X with W_ii = p_i (1 - p_i), from its transposed (p x n) design.
 
-    Summed over blocks of ``_GRAM_BLOCK`` rows through one small scratch
-    array. A whole p x n scratch array (1.15 MB at 18,000 x 8) is fresh memory
-    in every call, which malloc hands back to the system between splits: the
-    100 fits of a 20k-row mta-prob test paid about 53k page faults for it.
+    ``xt`` stacks the splits' designs (s x p x n) and ``prob`` their
+    probabilities (s x n). Summed over blocks of ``_GRAM_BLOCK`` rows through
+    one small scratch array. A whole p x n scratch array (1.15 MB at
+    18,000 x 8) is fresh memory in every call, which malloc hands back to the
+    system between splits: the 100 fits of a 20k-row mta-prob test paid about
+    53k page faults for it.
     """
     w = prob * (1.0 - prob)
-    p, n = xt.shape
-    work = np.empty((p, min(n, _GRAM_BLOCK)))
-    gram = np.zeros((p, p))
+    s, p, n = xt.shape
+    work = np.empty((s, p, min(n, _GRAM_BLOCK)))
+    gram = np.zeros((s, p, p))
     for lo in range(0, n, _GRAM_BLOCK):
-        block = xt[:, lo:lo + _GRAM_BLOCK]
-        scaled = np.multiply(block, w[lo:lo + _GRAM_BLOCK], out=work[:, :block.shape[1]])
-        gram += scaled @ block.T
+        block = xt[:, :, lo:lo + _GRAM_BLOCK]
+        scaled = np.multiply(block, w[:, None, lo:lo + _GRAM_BLOCK],
+                             out=work[:, :, :block.shape[2]])
+        gram += scaled @ block.transpose(0, 2, 1)
     return gram
 
 
@@ -184,16 +203,21 @@ def _triangular_solves(upper: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a symmetric positive-definite system by Cholesky factorisation.
+    """Solve a symmetric positive-definite system, or a stack of them, by Cholesky.
 
-    Raises RankDeficiencyError when the factorisation fails or the ratio of
-    its smallest to its largest squared pivot is below ``_PIVOT_RTOL``.
+    ``a`` is p x p or s x p x p, ``b`` p or s x p. The stack is factorised in
+    one call; each factor is applied by its own pair of triangular solves, the
+    arithmetic of a lone system. Raises RankDeficiencyError when any
+    factorisation fails or the ratio of its smallest to its largest squared
+    pivot is below ``_PIVOT_RTOL``.
     """
     try:
         chol = np.linalg.cholesky(a)
-        d = np.diagonal(chol)
-        if d.min() ** 2 >= _PIVOT_RTOL * d.max() ** 2:
-            return _triangular_solves(chol.T, b)
+        d = np.diagonal(chol, axis1=-2, axis2=-1)
+        if (d.min(axis=-1) ** 2 >= _PIVOT_RTOL * d.max(axis=-1) ** 2).all():
+            p = b.shape[-1]
+            pairs = zip(chol.reshape(-1, p, p), b.reshape(-1, p))
+            return np.array([_triangular_solves(c.T, r) for c, r in pairs]).reshape(b.shape)
     except np.linalg.LinAlgError:
         pass
     raise RankDeficiencyError(
@@ -202,32 +226,159 @@ def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def _halving_step(xt: np.ndarray, flip: np.ndarray, beta: np.ndarray, ll: float,
-                  delta: np.ndarray) -> tuple | None:
-    """The first of beta + delta, beta + delta / 2, ... (40 tries) that keeps ``ll``.
+def _halving_step(xt: np.ndarray, flip: np.ndarray, beta: np.ndarray, prob: np.ndarray,
+                  ll: np.ndarray, delta: np.ndarray) -> tuple:
+    """Per split, the first of beta + delta, beta + delta / 2, ... (40 tries) that keeps ``ll``.
 
     A candidate keeps the log-likelihood when it falls by at most
     ``_LL_RTOL * |ll|``, the rounding noise of the summed log-likelihood: near
     the optimum the true gain of a full Newton step is below that noise, and a
-    strict test would halve such a step away. Returns the candidate with its
-    probabilities and log-likelihood, or None when no try is kept or the
-    candidate no longer differs from ``beta``.
+    strict test would halve such a step away. A split stops trying when a try
+    is kept, or when its candidate no longer differs from its ``beta``. The
+    splits still trying are scored together; their rows are gathered only
+    once some split of the stack has stopped.
+
+    Returns ``(beta, prob, ll, moved)``: each split's kept candidate with its
+    probabilities and log-likelihood, or its inputs where ``moved`` is False.
+    The inputs are never written to.
     """
-    floor = ll - _LL_RTOL * abs(ll)
+    floor = ll - _LL_RTOL * np.abs(ll)
+    moved = np.zeros(ll.size, dtype=bool)
+    out = None  # copies of (beta, prob, ll), made once the splits part ways
+    trying = slice(None)  # every split, as views
     step = 1.0
     for _ in range(40):
-        cand = beta + step * delta
-        if np.array_equal(cand, beta):
-            return None
-        prob, cand_ll = _prob_and_loglik(cand @ xt, flip)
-        if cand_ll >= floor:
-            return cand, prob, cand_ll
+        current = beta[trying]
+        cand = current + step * delta[trying]
+        differs = (cand != current).any(axis=1)
+        if not differs.all():
+            trying, cand = np.arange(ll.size)[trying][differs], cand[differs]
+            if trying.size == 0:
+                break
+        cand_prob, cand_ll = _prob_and_loglik(_linear(cand, xt[trying]), flip[trying])
+        kept = cand_ll >= floor[trying]
+        if isinstance(trying, slice) and kept.all():
+            return cand, cand_prob, cand_ll, ~moved
+        if out is None:
+            out = (beta.copy(), prob.copy(), ll.copy())
+        trying = np.arange(ll.size)[trying]
+        for arr, new in zip(out, (cand, cand_prob, cand_ll)):
+            arr[trying[kept]] = new[kept]
+        moved[trying[kept]] = True
+        trying = trying[~kept]
+        if trying.size == 0:
+            break
         step *= 0.5
-    return None
+    return (*(out or (beta, prob, ll)), moved)
+
+
+def _fit_stack(xt: np.ndarray, y, names: tuple) -> list:
+    """Fit one logistic regression per split of a stack by IRLS, in lockstep.
+
+    ``xt`` holds the splits' transposed designs (s x p x n; copied once unless
+    C-contiguous, so that each p x n block is row-contiguous) and ``y`` their
+    responses (s x n). All splits take their Newton steps together, each with
+    its own step-halving, gradient stop, no-move stop and iteration count; a
+    split leaves the stack when it converges, stops or fails, and only then
+    are the stack's rows gathered again. Every product is one per split of the
+    stack's shape, so a split's fit is bit for bit the same whatever else is
+    in its stack.
+
+    Returns one entry per split: its ``FittedGlm``, or the exception
+    ``fit_logistic`` raises for that split alone (``SingleClassError``,
+    ``RankDeficiencyError`` or ``ValueError``), with the same message.
+    """
+    xt = np.ascontiguousarray(xt, dtype=float)  # a no-op for the callers in the package
+    y = np.asarray(y, dtype=float)
+    s, p, n = xt.shape
+    if y.shape != (s, n):
+        raise ValueError(f"response length {y.shape[-1]} does not match {n} design rows")
+    results = [None] * s
+    binary = ((y == 0.0) | (y == 1.0)).all(axis=1)
+    single = y.min(axis=1) == y.max(axis=1)
+    for j in range(s):
+        if not binary[j]:
+            results[j] = ValueError("response entries must be 0 or 1")
+        elif single[j]:
+            results[j] = SingleClassError("both response classes must be present")
+        elif n < p:
+            results[j] = ValueError(f"need at least as many rows ({n}) as columns ({p})")
+    split = np.array([j for j, r in enumerate(results) if r is None], dtype=int)
+    if split.size == 0:
+        return results
+    if split.size < s:
+        xt, y = xt[split], y[split]
+
+    grad_tol = 1e-8 * n
+    flip = 1.0 - 2.0 * y
+    beta = np.zeros((split.size, p))
+    # prob and ll always belong to beta: an accepted candidate hands its own
+    # on, so each candidate costs one x @ beta and one exponential.
+    prob, ll = _prob_and_loglik(_linear(beta, xt), flip)
+    ll_path = {j: [v] for j, v in zip(split.tolist(), ll.tolist())}
+    iterations = 0
+
+    def leave(gone, info=None, converged=False):
+        """Take the splits marked ``gone`` out of the stack, recording their fits if ``info``."""
+        nonlocal split, xt, y, flip, beta, prob, ll
+        if info is not None:
+            for j in np.flatnonzero(gone):
+                results[split[j]] = FittedGlm(
+                    coef=beta[j],
+                    converged=converged,
+                    iterations=iterations,
+                    fisher_info=0.5 * (info[j] + info[j].T),
+                    log_likelihood=float(ll[j]),
+                    names=names,
+                    ll_path=tuple(ll_path[split[j]]),
+                    fitted_prob=prob[j],
+                )
+        keep = ~gone
+        split, xt, y, flip, beta, prob, ll = (
+            arr[keep] for arr in (split, xt, y, flip, beta, prob, ll))
+        return keep
+
+    for _ in range(_MAX_ITER):
+        grad = (xt @ (y - prob)[:, :, None])[:, :, 0]
+        # also the information of a split that stops in this pass, whose prob
+        # still belongs to its beta
+        info = _weighted_gram(xt, prob)
+        stay = np.abs(grad).max(axis=1) > grad_tol
+        if not stay.all():
+            keep = leave(~stay, info, converged=True)
+            if split.size == 0:
+                break
+            grad, info = grad[keep], info[keep]
+        iterations += 1
+        try:
+            delta = _solve_spd(info, grad)
+        except RankDeficiencyError:
+            # one system at a time, to find the singular ones
+            delta = np.zeros_like(grad)
+            failed = np.zeros(split.size, dtype=bool)
+            for j in range(split.size):
+                try:
+                    delta[j] = _solve_spd(info[j], grad[j])
+                except RankDeficiencyError as exc:
+                    results[split[j]], failed[j] = exc, True
+            keep = leave(failed)
+            if split.size == 0:
+                break
+            delta, info = delta[keep], info[keep]
+        beta, prob, ll, moved = _halving_step(xt, flip, beta, prob, ll, delta)
+        if not moved.all():
+            leave(~moved, info)  # no try kept: beta, prob and ll are unchanged
+            if split.size == 0:
+                break
+        for j, v in zip(split.tolist(), ll.tolist()):
+            ll_path[j].append(v)
+    else:
+        leave(np.ones(split.size, dtype=bool), _weighted_gram(xt, prob))
+    return results
 
 
 def fit_logistic(x: DesignMatrix, y) -> FittedGlm:
-    """Fit a logistic regression by IRLS.
+    """Fit a logistic regression by IRLS: the one-split case of ``_fit_stack``.
 
     Iterates Newton steps with step-halving until the gradient max-norm drops
     to 1e-8 * n. Running into the cap of 100 iterations, or a step that no
@@ -239,52 +390,12 @@ def fit_logistic(x: DesignMatrix, y) -> FittedGlm:
         RankDeficiencyError: if the weighted normal equations are singular.
     """
     yv = np.asarray(y, dtype=float).ravel()
-    xv = x.values
-    n, p = xv.shape
-    if yv.shape[0] != n:
-        raise ValueError(f"response length {yv.shape[0]} does not match {n} design rows")
-    if not np.all(np.isin(yv, (0.0, 1.0))):
-        raise ValueError("response entries must be 0 or 1")
-    if yv.min() == yv.max():
-        raise SingleClassError("both response classes must be present")
-    if n < p:
-        raise ValueError(f"need at least as many rows ({n}) as columns ({p})")
-
-    grad_tol = 1e-8 * n
-    xt = np.asfortranarray(xv).T  # p x n, row-contiguous; a view when xv is column-major
-    flip = 1.0 - 2.0 * yv
-    beta = np.zeros(p)
-    # prob and ll always belong to beta: an accepted candidate hands its own
-    # on, so each candidate costs one x @ beta and one exponential.
-    prob, ll = _prob_and_loglik(beta @ xt, flip)
-    ll_path = [ll]
-    converged = False
-    iterations = 0
-
-    for _ in range(_MAX_ITER):
-        grad = xt @ (yv - prob)
-        if np.abs(grad).max() <= grad_tol:
-            converged = True
-            break
-        iterations += 1
-        delta = _solve_spd(_weighted_gram(xt, prob), grad)
-        accepted = _halving_step(xt, flip, beta, ll, delta)
-        if accepted is None:
-            break  # beta is unchanged, so prob is still its probabilities
-        beta, prob, ll = accepted
-        ll_path.append(ll)
-
-    info = _weighted_gram(xt, prob)
-    return FittedGlm(
-        coef=beta,
-        converged=converged,
-        iterations=iterations,
-        fisher_info=0.5 * (info + info.T),
-        log_likelihood=ll,
-        names=x.names,
-        ll_path=tuple(ll_path),
-        fitted_prob=prob,
-    )
+    # p x n, row-contiguous; a view when x.values is column-major
+    xt = np.asfortranarray(x.values).T
+    [fit] = _fit_stack(xt[None], yv[None], x.names)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def predict_prob(model: FittedGlm, x: DesignMatrix) -> np.ndarray:

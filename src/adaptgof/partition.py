@@ -24,7 +24,8 @@ the running sums are the ones a fresh per-node sort would give.
 
 Each group's term of the grouped chi-squared value, (residual sum)^2 /
 (variance sum), comes from one kernel, ``_group_contributions``, which
-``grouped_chi2``, ``criterion_b`` and ``gof.bag_statistic`` all share.
+``grouped_chi2``, ``criterion_b``, ``gof.bag_statistic`` and
+``gof.bag_gradient`` (all 2p perturbations at once) share.
 
 Determinism matters here: ties in the cut search are broken first by larger
 criterion value, then by lexicographically smaller source name, then by
@@ -37,6 +38,7 @@ larger computed B wins, whatever the name order says.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -204,13 +206,25 @@ def _group_contributions(y, p, g, n_groups: int):
 
     Returns ``(contrib, live)``; an empty group contributes 0. ``n_groups`` is
     only a minimum length: the arrays reach the largest label in ``g``.
+
+    ``p`` may also stack m probability vectors of the same rows (m x n); then
+    ``contrib`` is m x width, from one pair of weighted ``bincount`` calls in
+    which vector c's labels are offset by c * width. A bin still adds its
+    rows in row order, so each vector's sums are the ones it would get alone.
     """
     p = np.asarray(p, dtype=float)
     g = np.asarray(g, dtype=int)
-    resid_sums = np.bincount(g, weights=np.asarray(y, dtype=float) - p, minlength=n_groups)
-    var_sums = np.bincount(g, weights=p * (1.0 - p), minlength=n_groups)
-    live = np.bincount(g, minlength=n_groups) > 0
-    contrib = np.divide(resid_sums**2, var_sums, out=np.zeros(live.size), where=live)
+    counts = np.bincount(g, minlength=n_groups)
+    width = counts.size  # max(n_groups, largest label + 1)
+    live = counts > 0
+    m = math.prod(p.shape[:-1])  # 1 for a single vector
+    labels = (g + width * np.arange(m)[:, None]).ravel()
+    shape = (*p.shape[:-1], width)
+    resid_sums = np.bincount(labels, weights=(np.asarray(y, dtype=float) - p).ravel(),
+                             minlength=m * width).reshape(shape)
+    var_sums = np.bincount(labels, weights=(p * (1.0 - p)).ravel(),
+                           minlength=m * width).reshape(shape)
+    contrib = np.divide(resid_sums**2, var_sums, out=np.zeros(shape), where=live)
     return contrib, live
 
 
@@ -454,7 +468,10 @@ def greedy_partition(
         else:
             pair = (AxisRule(source, "in", labels=payload),
                     AxisRule(source, "not-in", labels=payload))
-        left = pair[0].matches(cols)
+        # the rule is evaluated on the node's rows only; rows outside the
+        # node are never read from either side
+        left = np.zeros(n, dtype=bool)
+        left[idx] = pair[0].matches({source: cols[source][idx]})
         # compress gives what boolean indexing gives, several times
         # faster on scattered masks
         return [

@@ -388,6 +388,80 @@ class TestFitMatchesOracle:
             fit_logistic(with_slope(LOGIT20_X), LOGIT20_Y)
 
 
+_STACK_NAMES = ("(Intercept)", "a", "b", "c")
+
+
+def _stack_of_every_outcome():
+    """Equal-shape (20 x 4) splits: healthy fits, one single-class response, one
+    rank-deficient design and two separated fits that run into the iteration cap."""
+    rng = np.random.default_rng(7)
+
+    def healthy():
+        cov = rng.normal(size=(20, 3))
+        y = (rng.random(20) < 1.0 / (1.0 + np.exp(-cov @ [0.8, -0.5, 0.3]))).astype(int)
+        return np.column_stack([np.ones(20), cov]), y
+
+    single_x, _ = healthy()
+    rank_x, rank_y = healthy()
+    rank_x[:, 3] = rank_x[:, 2]
+    cases = [healthy(), (single_x, np.ones(20, dtype=int)), healthy(), (rank_x, rank_y),
+             healthy(), healthy()]
+    for seed in (332, 61):
+        x, y = _separated_case(seed)
+        cases.insert(2 * len(cases) // 3, (x.values, y))
+    return cases
+
+
+def _assert_identical_fits(got, want):
+    assert (got.converged, got.iterations, got.names, got.ll_path, got.log_likelihood) == (
+        want.converged, want.iterations, want.names, want.ll_path, want.log_likelihood)
+    for field in ("coef", "fisher_info", "fitted_prob"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+class TestFitStack:
+    """A split fitted in a stack is bit for bit the split fitted alone."""
+
+    def fit_stack(self, cases):
+        xt = np.stack([x.T for x, _ in cases])
+        return glm._fit_stack(xt, np.stack([y for _, y in cases]), _STACK_NAMES)
+
+    def test_failures_stay_per_split(self):
+        cases = _stack_of_every_outcome()
+        fits = self.fit_stack(cases)
+        kinds = []
+        for (x, y), fit in zip(cases, fits):
+            alone = DesignMatrix(x, _STACK_NAMES)
+            if isinstance(fit, Exception):
+                with pytest.raises(ValueError) as raised:
+                    fit_logistic(alone, y)
+                assert (type(raised.value), str(raised.value)) == (type(fit), str(fit))
+                kinds.append(type(fit).__name__)
+            else:
+                _assert_identical_fits(fit, fit_logistic(alone, y))
+                kinds.append(_fit_exit(fit))
+        assert kinds.count("converged") == 4
+        assert {"SingleClassError", "RankDeficiencyError", "cap"} <= set(kinds)
+        assert kinds.count("cap") == 2
+
+    def test_results_do_not_depend_on_the_stack(self):
+        cases = _stack_of_every_outcome()
+        whole = self.fit_stack(cases)
+        reversed_fits = self.fit_stack(cases[::-1])[::-1]
+        singles = [self.fit_stack([case])[0] for case in cases]
+        for fits in (reversed_fits, singles):
+            for got, want in zip(fits, whole):
+                if isinstance(want, Exception):
+                    assert (type(got), str(got)) == (type(want), str(want))
+                else:
+                    _assert_identical_fits(got, want)
+
+    def test_a_stack_that_fails_entirely_returns_every_error(self):
+        x, y = _stack_of_every_outcome()[1]
+        fits = self.fit_stack([(x, y), (x, 1 - y)])
+        assert [type(f) for f in fits] == [SingleClassError, SingleClassError]
+
+
 @st.composite
 def near_singular_gram(draw):
     """Q diag(lam) Q' with condition number near 1/_PIVOT_RTOL, columns rescaled."""

@@ -31,6 +31,8 @@ from adaptgof.gof import (
     decision_threshold,
 )
 from adaptgof.numkit import empirical_quantiles
+from adaptgof.data import Dataset
+from adaptgof.formula import parse_formula
 from adaptgof.partition import AxisRule, CoverageError, Group, Partition
 from adaptgof.sim import generate, make_setting
 
@@ -40,6 +42,7 @@ from _fixtures import (
     BAG30_Y,
     HL10_PHAT,
     HL10_Y,
+    bag_gradient_oracle,
     grouped_chi2_oracle,
     hl_oracle,
     richardson_gradient_oracle,
@@ -231,6 +234,20 @@ class TestCorrectedStatistic:
         assert bag.statistic == packed.statistic
         assert out == corrected_statistic(packed, model, dmt, yt, groups)
 
+    def test_gradient_when_a_middle_test_group_is_empty(self):
+        # labels {0, 1, 3, 4} with realized_k = 4: the one-pass gradient offsets
+        # each perturbation's labels by at least the largest label + 1, so no
+        # group of one perturbation may spill into the next one's
+        model, dmt, yt, _ = _toy_model_and_test()
+        quarters = np.searchsorted(np.quantile(dmt.values[:, 1], [0.25, 0.5, 0.75]),
+                                   dmt.values[:, 1])
+        groups = np.array([0, 1, 3, 4])[quarters]
+        bag = bag_statistic(yt, np.full(yt.size, 0.4), groups, 5)
+        assert bag.realized_k == 4
+        got = bag_gradient(model, dmt, yt, groups, bag.realized_k)
+        want = bag_gradient_oracle(model, dmt, yt, groups, bag.realized_k)
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
     def test_singular_information_skips_correction(self):
         model, dmt, yt, groups = _toy_model_and_test()
         object.__setattr__(model, "fisher_info", np.zeros((2, 2)))
@@ -409,13 +426,17 @@ class TestMultiSplit:
         spec = make_setting("1", 500, beta3=0.651)
         ds = generate(spec, RandomSource(11).child("data"))
         calls = []
+        fit_stack = gof._fit_stack
 
         def every_other_nonconverged(*args, **kwargs):
-            fit = fit_logistic(*args, **kwargs)
-            calls.append(None)
-            return fit if len(calls) % 2 else dataclasses.replace(fit, converged=False)
+            # the split loop fits its splits in stacks: mark every other fit
+            fits = []
+            for fit in fit_stack(*args, **kwargs):
+                calls.append(None)
+                fits.append(fit if len(calls) % 2 else dataclasses.replace(fit, converged=False))
+            return fits
 
-        monkeypatch.setattr(gof, "fit_logistic", every_other_nonconverged)
+        monkeypatch.setattr(gof, "_fit_stack", every_other_nonconverged)
         splits = 10
         report = multi_split_test(ds, spec.model_b, TestConfig(splits=splits),
                                   RandomSource(11).child("m"))
@@ -435,6 +456,34 @@ class TestMultiSplit:
         assert {n: (t, m) for n, t, m in report.ranking} == {
             n: (total[n], max_group[n]) for n in total | max_group
         }
+
+    @pytest.mark.parametrize("failure", ["RankDeficiencyError", "SingleClassError"])
+    def test_reports_do_not_depend_on_the_stack_size(self, monkeypatch, failure):
+        # x2 is nonzero on two rows only, or y holds two positives: a split
+        # that holds both rows out of training fails its fit alone
+        rng = np.random.default_rng(3)
+        n = 60
+        x1, x2 = rng.normal(size=n), rng.normal(size=n)
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-x1))).astype(int)
+        if failure == "RankDeficiencyError":
+            x2 = np.zeros(n)
+            x2[:2] = (1.0, 2.0)
+        else:
+            y = np.zeros(n, dtype=int)
+            y[:2] = 1
+        ds = Dataset(y=y, columns={"x1": x1, "x2": x2},
+                     kinds={"x1": "continuous", "x2": "continuous"})
+        cfg = TestConfig(k=3, train_size=40, splits=40, partition_by="mta-prob")
+        reports = []
+        for rows in (1, 40 * 40):  # one split per stack, then all 40 in one
+            monkeypatch.setattr(gof, "_STACK_ROWS", rows)
+            report = multi_split_test(ds, parse_formula("x1 + x2"), cfg,
+                                      RandomSource(5).child("m"))
+            reports.append(json.dumps(report_to_dict(report)))
+        assert reports[0] == reports[1]
+        errors = [o.error for o in report.outcomes if o.failed]
+        assert errors and all(e.startswith(failure + ": ") for e in errors)
+        assert len(errors) < cfg.splits
 
     def test_programming_errors_propagate(self, monkeypatch):
         spec = make_setting("1", 200, beta3=0.651)
