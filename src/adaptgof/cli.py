@@ -208,6 +208,10 @@ def run_test_command(args) -> int:
         raise CliError("--train-size and --train-fraction are alternatives; pass at most one")
     if args.top < 0:
         raise CliError(f"--top must be at least 0, got {args.top}")
+    # the negated test also catches nan
+    if args.train_fraction is not None and not 0.0 < args.train_fraction < 1.0:
+        raise CliError(f"--train-fraction must lie strictly between 0 and 1, "
+                       f"got {args.train_fraction}")
     run_config = _run_config(args)
     dataset = parse_csv(args.input, args.response)
     try:
@@ -219,6 +223,9 @@ def run_test_command(args) -> int:
     train = args.train_size
     if args.train_fraction is not None:
         train = int(args.train_fraction * dataset.n)
+        if not 0 < train < dataset.n:
+            raise CliError(f"--train-fraction {args.train_fraction} gives {train} training "
+                           f"rows of {dataset.n}; a split needs training and test rows")
     seed = run_config["seed"]
     try:
         test_config = TestConfig(

@@ -10,8 +10,9 @@ y = (x >= 2) stop after 19 iterations at about (-486, 243), with 38 of the
 40 probabilities at the clamp). Flagging such fits is ROADMAP item 1.
 
 One logistic-plus-clamp, ``_logistic_from``, turns linear predictors into
-clamped probabilities for the fit, for ``predict_prob`` and for the
-statistic's gradient in ``gof``. The fit scores each candidate with
+clamped probabilities for the fit, for the predictions (``predict_prob`` and
+``gof``'s stacked prediction of a stack's test rows, both through
+``_linear``) and for the statistic's gradient in ``gof``. The fit scores each candidate with
 ``_prob_and_loglik``: one exponential exp(-|eta|) gives both its
 probabilities and its log-likelihood, a sum of one-signed per-row terms that
 is accurate to a few ulps of itself. A candidate is kept when its
@@ -399,9 +400,15 @@ def fit_logistic(x: DesignMatrix, y) -> FittedGlm:
 
 
 def predict_prob(model: FittedGlm, x: DesignMatrix) -> np.ndarray:
-    """Fitted probabilities logistic(x @ coef), clamped to [1e-10, 1 - 1e-10]."""
+    """Fitted probabilities logistic(x @ coef), clamped to [1e-10, 1 - 1e-10].
+
+    The one-split case of the stacked prediction ``gof`` makes for a stack of
+    splits' test rows: ``_linear`` over the transposed design, which is a
+    view of a column-major design and a copy of any other.
+    """
     if x.ncol != model.coef.shape[0]:
         raise ValueError(
             f"design has {x.ncol} columns but the model has {model.coef.shape[0]} coefficients"
         )
-    return _clamped_logistic(x.values @ model.coef)
+    xt = np.asfortranarray(x.values).T
+    return _clamped_logistic(_linear(model.coef[None], xt[None])[0])

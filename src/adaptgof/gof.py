@@ -15,12 +15,17 @@ Four layers, bottom to top:
   K degrees of freedom.
 * ``multi_split_test``: s independent splits on child random streams, decided
   by comparing the median p-value to the alpha-quantile of N(0.5, 1/(12 s)).
-  It fits its splits in stacks of ``max(1, _STACK_ROWS // n_train)``: the
-  rows of a stack's splits are drawn from their own streams, the stack is
-  fitted by one lockstep IRLS loop (``glm._fit_stack``), and each split then
-  runs its search, statistic and correction alone. A split's fit, and so the
-  report, does not depend on the stack size; ``single_split_test`` is the
-  one-split case.
+  It works in stacks of ``max(1, _STACK_ROWS // n_train)`` splits: the rows
+  of a stack's splits are drawn from their own streams, the stack is fitted
+  by one lockstep IRLS loop (``glm._fit_stack``) and scored by
+  ``_score_stack``: one lockstep partition search
+  (``partition._greedy_stack``) and one pass each for the test-row
+  prediction, the statistic (``_bag_values``), its gradient
+  (``_gradients``), the correction's solve (``_corrections``) and the
+  p-value. Each split's groups and outcome stay its own. Every layer gives a
+  split what it would get alone, so the report does not depend on the stack
+  size; ``single_split_test``, ``bag_statistic``, ``bag_gradient`` and
+  ``corrected_statistic`` are the one-split cases.
 
 Underfit diagnosis: every rule of every selected group counts once for its
 covariate ({x1 <= a & x2 > b & x2 <= c} counts x1 once and x2 twice);
@@ -38,15 +43,17 @@ import numpy as np
 
 from .data import Dataset
 from .formula import Formula, design_matrix
-from .glm import DesignMatrix, FittedGlm, _clamped_logistic, _fit_stack, predict_prob
+from .glm import DesignMatrix, FittedGlm, _clamped_logistic, _fit_stack, _linear
 from .numkit import RandomSource, chi2_sf, empirical_quantiles, gaussian_quantile
 from .partition import (
     CoverageError,
     Partition,
     PartitionConfig,
+    _code_labels,
+    _greedy_stack,
     _group_contributions,
+    _tie_ranks,
     assign_groups,
-    greedy_partition,
     grouped_chi2,  # unused here, but bench/test_bench.py patches gof.grouped_chi2
     presort,
     probability_partition,
@@ -140,19 +147,41 @@ class BagValue:
     contributions: tuple  # each group's term, 0.0 for an empty group
 
 
+def _bag_values(y, prob, groups, k) -> list:
+    """``bag_statistic`` of each split of a stack, from one set of group sums.
+
+    ``y``, ``prob`` and ``groups`` hold the splits' test rows (s x n) and
+    ``k`` each split's group count. Each split's statistic sums its own live
+    groups: a sum over a padded length could round differently. Returns each
+    split's ``BagValue``, or the ``ValueError`` it raises alone.
+    """
+    if prob.shape[-1] == 0:
+        raise ValueError("empty test set")
+    good = np.flatnonzero(~((prob <= 0.0) | (prob >= 1.0)).any(axis=1))
+    out = [ValueError("test probabilities must lie strictly in (0, 1)") for _ in k]
+    if good.size < len(k):
+        y, prob, groups = y[good], prob[good], groups[good]
+    contrib, live = _group_contributions(y, prob, groups, max(k))
+    for c, lv, top, i in zip(contrib, live, (groups.max(axis=1) + 1).tolist(), good.tolist()):
+        width = max(k[i], top)
+        c, lv = c[:width], lv[:width]
+        out[i] = BagValue(statistic=float(np.sum(c[lv])), realized_k=int(lv.sum()),
+                          contributions=tuple(c.tolist()))
+    return out
+
+
 def bag_statistic(y_test, phat_test, group_idx, k: int) -> BagValue:
     """Sum over groups of (sum of residuals)^2 / (sum of variances) on test rows.
 
     Empty groups contribute nothing and reduce ``realized_k`` accordingly.
+    The one-split case of ``_bag_values``.
     """
-    p = np.asarray(phat_test, dtype=float)
-    if p.size == 0:
-        raise ValueError("empty test set")
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValueError("test probabilities must lie strictly in (0, 1)")
-    contrib, live = _group_contributions(y_test, p, group_idx, k)
-    return BagValue(statistic=float(np.sum(contrib[live])), realized_k=int(live.sum()),
-                    contributions=tuple(contrib.tolist()))
+    p = np.asarray(phat_test, dtype=float)[None]
+    [bag] = _bag_values(np.asarray(y_test, dtype=float)[None], p,
+                        np.asarray(group_idx, dtype=int)[None], [k])
+    if isinstance(bag, Exception):
+        raise bag
+    return bag
 
 
 @dataclass(frozen=True)
@@ -162,26 +191,69 @@ class CorrectionResult:
     skipped: bool = False
 
 
+def _gradients(coef, xt, y, groups, k: int = 0) -> np.ndarray:
+    """``bag_gradient`` of each split of a stack (s x p).
+
+    ``coef`` holds the splits' coefficients (s x p), ``xt`` their transposed
+    test designs (s x p x n), ``y`` and ``groups`` their test rows (s x n).
+    All 2p perturbed coefficient vectors of all splits are scored in one
+    pass: one stacked product with the test designs, one logistic and one
+    set of group sums.
+    """
+    p = coef.shape[1]
+    h = 1e-5 * (1.0 + np.abs(coef))
+    steps = h[:, :, None] * np.eye(p)
+    coefs = coef[:, None, :] + np.concatenate([steps, -steps], axis=1)  # + h_j e_j, then - h_j e_j
+    prob = _clamped_logistic(coefs @ xt)
+    contrib, live = _group_contributions(y[:, None, :], prob, groups[:, None, :], k)
+    stat = np.array([c[:, lv].sum(axis=1) for c, lv in zip(contrib, live[:, 0])])
+    return (stat[:, :p] - stat[:, p:]) / (2.0 * h)
+
+
 def bag_gradient(model: FittedGlm, x_test: DesignMatrix, y_test, group_idx, k: int) -> np.ndarray:
     """Gradient of the statistic with respect to the coefficients.
 
     Central finite differences through the full test pipeline (re-evaluating
     test probabilities and the grouped statistic) with the partition and test
-    rows held fixed; per-coordinate step 1e-5 * (1 + |beta_j|). All 2p
-    perturbed coefficient vectors are scored in one pass: one product with
-    the test design, one logistic and one set of group sums.
+    rows held fixed; per-coordinate step 1e-5 * (1 + |beta_j|). The one-split
+    case of ``_gradients``.
     """
-    beta = np.asarray(model.coef, dtype=float)
-    h = 1e-5 * (1.0 + np.abs(beta))
-    steps = np.diag(h)
-    coefs = beta + np.concatenate([steps, -steps])  # beta + h_j e_j, then beta - h_j e_j
-    prob = _clamped_logistic(coefs @ x_test.values.T)
-    contrib, live = _group_contributions(y_test, prob, group_idx, k)
-    stat = contrib[:, live].sum(axis=1)
-    return (stat[:beta.size] - stat[beta.size:]) / (2.0 * h)
+    xt = np.asfortranarray(x_test.values).T  # p x n, a view of a column-major design
+    return _gradients(np.asarray(model.coef, dtype=float)[None], xt[None],
+                      np.asarray(y_test, dtype=float)[None],
+                      np.asarray(group_idx, dtype=int)[None], k)[0]
 
 
 _Z95 = 1.6448536269514722  # 0.95 standard normal quantile
+
+
+def _corrections(stats, info, grad) -> list:
+    """The correction of each split of a stack: statistics, J (s x p x p) and a (s x p).
+
+    The stack's systems are solved in one call. When any is singular they are
+    solved again one at a time, so that each singular J skips only its own
+    correction.
+    """
+    rhs = grad[:, :, None]
+    solvable = np.ones(len(stats), dtype=bool)
+    try:
+        solved = np.linalg.solve(info, rhs)
+    except np.linalg.LinAlgError:
+        solved = np.zeros_like(rhs)
+        for i in range(len(stats)):
+            try:
+                solved[i] = np.linalg.solve(info[i], rhs[i])
+            except np.linalg.LinAlgError:
+                solvable[i] = False
+    quad = (grad[:, None, :] @ solved)[:, 0, 0]
+    out = []
+    for stat, ok, q in zip(stats, solvable.tolist(), quad.tolist()):
+        if not ok or not math.isfinite(q):
+            out.append(CorrectionResult(adjusted=stat, se=0.0, skipped=True))
+            continue
+        se = math.sqrt(max(q, 0.0))
+        out.append(CorrectionResult(adjusted=max(stat - se * _Z95, 0.0), se=se))
+    return out
 
 
 def corrected_statistic(
@@ -196,18 +268,12 @@ def corrected_statistic(
     ``se`` is sqrt(a' J^-1 a) with a the finite-difference gradient from
     ``bag_gradient`` and J the observed Fisher information of the training
     fit. A singular J skips the correction (flagged) rather than failing.
+    The one-split case of ``_corrections``.
     """
-    info = np.asarray(model.fisher_info, dtype=float)
     grad = bag_gradient(model, x_test, y_test, group_idx, bag.realized_k)
-    try:
-        solved = np.linalg.solve(info, grad)
-        quad = float(grad @ solved)
-    except np.linalg.LinAlgError:
-        return CorrectionResult(adjusted=bag.statistic, se=0.0, skipped=True)
-    if not np.isfinite(quad):
-        return CorrectionResult(adjusted=bag.statistic, se=0.0, skipped=True)
-    se = math.sqrt(max(quad, 0.0))
-    return CorrectionResult(adjusted=max(bag.statistic - se * _Z95, 0.0), se=se)
+    [corr] = _corrections([bag.statistic], np.asarray(model.fisher_info, dtype=float)[None],
+                          grad[None])
+    return corr
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +366,16 @@ def _rule_counts(groups) -> dict:
 
 
 def _plan(config: TestConfig, dataset: Dataset) -> tuple:
-    """What every split of one test shares: ``(n_train, partition config, order, scores)``.
+    """What every split of one test shares.
 
+    Returns ``(n_train, partition config, order, ties, coded, scores)``.
     Resolves the defaults and checks the sizes once, so a configuration that
     no split can satisfy raises ``ValueError`` instead of failing every split.
-    For the covariate search it also sorts each continuous column once over
-    all rows (``order``); each split filters its training rows out of that.
-    For ``partition_by="score"`` it reads and range-checks the score column
-    once (``scores``).
+    For the covariate search it also sorts and ranks each continuous column
+    once over all rows (``order``, ``ties``) and codes each discrete column
+    once (``coded``); each split filters its training rows out of those. For
+    ``partition_by="score"`` it reads and range-checks the score column once
+    (``scores``).
     """
     n = dataset.n
     n_min = config.n_min if config.n_min is not None else n // 10
@@ -322,28 +390,42 @@ def _plan(config: TestConfig, dataset: Dataset) -> tuple:
         scores = dataset.numeric(config.score_column)
         if not np.all((scores >= 0.0) & (scores <= 1.0)):
             raise ValueError(f"score column {config.score_column!r} must lie in [0, 1]")
-        return n_train, None, None, scores
+        return n_train, None, None, None, None, scores
     if config.partition_by == "mta-prob":
-        return n_train, None, None, None
+        return n_train, None, None, None, None, None
     cont = config.continuous if config.continuous is not None else dataset.continuous_names
     disc = config.discrete if config.discrete is not None else dataset.discrete_names
     pcfg = PartitionConfig(k=config.k, n_min=n_min, continuous=cont, discrete=disc)
-    return n_train, pcfg, presort(dataset.columns, pcfg.continuous), None
+    order = presort(dataset.columns, pcfg.continuous)
+    return (n_train, pcfg, order, _tie_ranks(dataset.columns, order),
+            _code_labels(dataset.columns, pcfg.discrete), None)
 
 
-def _take_rows(x: DesignMatrix, idx: np.ndarray) -> DesignMatrix:
-    """Rows ``idx`` of a column-major design, gathered into a column-major design."""
-    return DesignMatrix(x.values.T.take(idx, axis=1).T, x.names)
+def _gather_rows(x: DesignMatrix, rows) -> np.ndarray:
+    """Each split's rows of a design, transposed: s x p x m for s index arrays of length m."""
+    xt_full = np.asfortranarray(x.values).T  # p x n, a view of a column-major design
+    out = np.empty((len(rows), xt_full.shape[0], len(rows[0])))
+    for o, idx in zip(out, rows):
+        # the indices are in range; "clip" only skips the buffered bounds check
+        np.take(xt_full, idx, axis=1, out=o, mode="clip")
+    return out
 
 
-# Training rows per stack of split fits. A stack is fitted by one lockstep IRLS
-# loop, so the fit's per-call overhead is paid once per stack. Measured on
-# setting 3 (425 training rows, 100 splits, one CPU): 0.146 s per test with one
-# split per stack, 0.095 s in stacks of 9 (4,096 rows), 0.091 s in stacks of
-# 19 (8,192 rows), 0.092 s in one stack of 100; larger stacks only hold more
-# memory. A constant, not an option: it only routes work, and no result
-# depends on it.
+# Training rows per stack of splits. A stack is fitted by one lockstep IRLS
+# loop and scored by one lockstep search and one pass per statistic layer, so
+# their per-call overhead is paid once per stack. Measured on setting 3 (425
+# training rows, 100 splits, one CPU) when only the fits were stacked:
+# 0.146 s per test with one split per stack, 0.095 s in stacks of 9 (4,096
+# rows), 0.091 s in stacks of 19 (8,192 rows), 0.092 s in one stack of 100;
+# larger stacks only hold more memory. A constant, not an option: it only
+# routes work, and no result depends on it.
 _STACK_ROWS = 8192
+
+# Failures that depend on the rows a split draws: ValueError covers a single
+# response class, rank deficiency, an infeasible partition and the
+# bag_statistic checks. Anything else (TypeError, IndexError, ...) is a bug and
+# propagates instead of being counted as a failed split.
+_SPLIT_FAILURES = (ValueError, CoverageError, np.linalg.LinAlgError)
 
 
 def _fit_splits(dataset: Dataset, x_full: DesignMatrix, n_train: int, rngs) -> list:
@@ -353,75 +435,107 @@ def _fit_splits(dataset: Dataset, x_full: DesignMatrix, n_train: int, rngs) -> l
     split's ``FittedGlm`` or the exception fitting it alone raises.
     """
     n = dataset.n
-    xt_full = np.asfortranarray(x_full.values).T  # p x n, a view of a column-major design
     rows = []
     for rng in rngs:
         perm = rng.permutation(n)
         rows.append((np.sort(perm[:n_train]), np.sort(perm[n_train:])))
-    xt = np.empty((len(rows), xt_full.shape[0], n_train))
-    for out, (train_idx, _) in zip(xt, rows):
-        # the indices are in range; "clip" only skips the buffered bounds check
-        np.take(xt_full, train_idx, axis=1, out=out, mode="clip")
-    y = np.stack([dataset.y[train_idx] for train_idx, _ in rows])
-    fits = _fit_stack(xt, y, x_full.names)
+    train = [train_idx for train_idx, _ in rows]
+    fits = _fit_stack(_gather_rows(x_full, train), dataset.y[np.stack(train)], x_full.names)
     return [(train_idx, test_idx, fit) for (train_idx, test_idx), fit in zip(rows, fits)]
 
 
-def _score_split(
-    dataset: Dataset,
-    x_full: DesignMatrix,
-    config: TestConfig,
-    plan: tuple,
-    train_idx: np.ndarray,
-    test_idx: np.ndarray,
-    model: FittedGlm,
-) -> SplitOutcome:
-    """Everything of one split after its fit: partition, groups, statistic and p-value."""
+def _score_stack(dataset: Dataset, x_full: DesignMatrix, config: TestConfig, plan: tuple,
+                 fitted: list) -> list:
+    """Everything of a stack of splits after their fits, one stacked pass per layer.
+
+    ``fitted`` is what ``_fit_splits`` returns. The test rows of all splits
+    are gathered and predicted together, the covariate partitions are
+    searched in lockstep (``partition._greedy_stack``), and the statistic,
+    its gradient, the correction's solve and the p-value each run once for
+    the stack. Each split's groups (``assign_groups``), rule counts and
+    outcome stay its own, and each stacked layer gives every split what it
+    would get alone, so no result depends on the stack.
+
+    Returns one entry per split: its ``SplitOutcome``, or the exception (one
+    of ``_SPLIT_FAILURES``) that the split raises alone.
+    """
     n = dataset.n
-    n_train, pcfg, order, scores = plan
-    x_test = _take_rows(x_full, test_idx)
-    y_train = dataset.y[train_idx]
-    y_test = dataset.y[test_idx]
-    phat_train = model.fitted_prob
-    phat_test = predict_prob(model, x_test)
+    n_train, pcfg, order, ties, coded, scores = plan
+    results = [fit if isinstance(fit, Exception) else None for _, _, fit in fitted]
+    live = [i for i, r in enumerate(results) if r is None]
+    if not live:
+        return results
+    test = np.stack([fitted[i][1] for i in live])
+    models = [fitted[i][2] for i in live]
+    coef = np.stack([m.coef for m in models])
+    xt_test = _gather_rows(x_full, test)
+    phat_test = _clamped_logistic(_linear(coef, xt_test))
 
     if pcfg is not None:
-        # Rank of each training row among the training rows: the split's
-        # sorted order follows from the shared one in O(n), with no sort.
-        member = np.zeros(n, dtype=bool)
-        member[train_idx] = True
-        rank = np.cumsum(member) - 1
-        train_order = {s: rank[np.compress(member[o], o)] for s, o in order.items()}
-        train_cols = {s: dataset.columns[s][train_idx] for s in pcfg.continuous + pcfg.discrete}
-        part = greedy_partition(pcfg, train_cols, y_train, phat_train, order=train_order)
-        groups = assign_groups(part, {s: dataset.columns[s][test_idx] for s in part.sources})
-    else:
-        if scores is None:
-            source, train_scores, test_scores = _MTA_PROB_COLUMN, phat_train, phat_test
-        else:
-            source = config.score_column
-            train_scores, test_scores = scores[train_idx], scores[test_idx]
-        part = probability_partition(train_scores, config.k, source=source)
-        groups = assign_groups(part, {source: test_scores})
+        train = np.stack([fitted[i][0] for i in live])
+        parts = _greedy_stack(pcfg, dataset.columns, order, ties, coded, train, dataset.y[train],
+                              np.stack([m.fitted_prob for m in models]))
+    grouped = []  # (place in the stack arrays, partition, test groups)
+    for j, i in enumerate(live):
+        try:
+            if pcfg is not None:
+                part = parts[j]
+                if isinstance(part, Exception):
+                    raise part
+                groups = assign_groups(part, {s: dataset.columns[s][test[j]] for s in part.sources})
+            else:
+                if scores is None:
+                    source, train_scores, test_scores = (
+                        _MTA_PROB_COLUMN, models[j].fitted_prob, phat_test[j])
+                else:
+                    source = config.score_column
+                    train_scores, test_scores = scores[fitted[i][0]], scores[test[j]]
+                part = probability_partition(train_scores, config.k, source=source)
+                groups = assign_groups(part, {source: test_scores})
+        except _SPLIT_FAILURES as exc:
+            results[i] = exc
+            continue
+        grouped.append((j, part, groups))
+    if not grouped:
+        return results
 
-    bag = bag_statistic(y_test, phat_test, groups, part.size)
-    corr = corrected_statistic(bag, model, x_test, y_test, groups)
-    p_value = chi2_sf(corr.adjusted, bag.realized_k)
-    max_group = int(np.argmax(bag.contributions))
-    return SplitOutcome(
-        statistic=bag.statistic,
-        adjusted=corr.adjusted,
-        se=corr.se,
-        realized_k=bag.realized_k,
-        p_value=p_value,
-        partition=part,
-        counts_all=_rule_counts(part.groups),
-        counts_max_group=_rule_counts(part.groups[max_group:max_group + 1]),
-        converged=model.converged,
-        correction_skipped=corr.skipped,
-        train_n=n_train,
-        test_n=n - n_train,
+    at = [j for j, _, _ in grouped]
+    if len(at) < len(live):
+        coef, xt_test, phat_test, test = coef[at], xt_test[at], phat_test[at], test[at]
+    y_test = dataset.y[test]
+    groups = np.stack([g for _, _, g in grouped])
+    bags = _bag_values(y_test, phat_test, groups, [part.size for _, part, _ in grouped])
+    # a split whose statistic failed is carried through the gradient and the
+    # solve, which cannot raise, and its results are dropped
+    corrs = _corrections(
+        [math.nan if isinstance(b, Exception) else b.statistic for b in bags],
+        np.stack([models[j].fisher_info for j in at]),
+        _gradients(coef, xt_test, y_test, groups),
     )
+    scored = [(b, c) for b, c in zip(bags, corrs) if not isinstance(b, Exception)]
+    p_values = iter(chi2_sf(np.array([c.adjusted for _, c in scored]),
+                            np.array([b.realized_k for b, _ in scored])).tolist())
+    for (j, part, _), bag, corr in zip(grouped, bags, corrs):
+        i = live[j]
+        if isinstance(bag, Exception):
+            results[i] = bag
+            continue
+        max_group = int(np.argmax(bag.contributions))
+        results[i] = SplitOutcome(
+            statistic=bag.statistic,
+            adjusted=corr.adjusted,
+            se=corr.se,
+            realized_k=bag.realized_k,
+            p_value=next(p_values),
+            partition=part,
+            counts_all=_rule_counts(part.groups),
+            counts_max_group=_rule_counts(part.groups[max_group:max_group + 1]),
+            converged=models[j].converged,
+            correction_skipped=corr.skipped,
+            train_n=n_train,
+            test_n=n - n_train,
+        )
+    return results
 
 
 def single_split_test(
@@ -441,10 +555,11 @@ def single_split_test(
     """
     x_full = design_matrix(dataset, mta)
     plan = _plan(config, dataset)
-    [(train_idx, test_idx, model)] = _fit_splits(dataset, x_full, plan[0], [rng])
-    if isinstance(model, Exception):
-        raise model
-    return _score_split(dataset, x_full, config, plan, train_idx, test_idx, model)
+    [out] = _score_stack(dataset, x_full, config, plan,
+                         _fit_splits(dataset, x_full, plan[0], [rng]))
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -514,17 +629,10 @@ def multi_split_test(
     outcomes = []
     for lo in range(0, config.splits, per_stack):
         rngs = [rng.child(("split", i)) for i in range(lo, min(lo + per_stack, config.splits))]
-        for train_idx, test_idx, model in _fit_splits(dataset, x_full, plan[0], rngs):
-            try:
-                if isinstance(model, Exception):
-                    raise model  # the fit failed for this split alone
-                out = _score_split(dataset, x_full, config, plan, train_idx, test_idx, model)
-            # Failures that depend on the rows a split draws: ValueError covers a
-            # single response class, rank deficiency, an infeasible partition and
-            # the bag_statistic checks. Anything else (TypeError, IndexError, ...)
-            # is a bug and propagates instead of being counted as a failed split.
-            except (ValueError, CoverageError, np.linalg.LinAlgError) as exc:
-                out = SplitOutcome.failure(f"{type(exc).__name__}: {exc}")
+        fitted = _fit_splits(dataset, x_full, plan[0], rngs)
+        for out in _score_stack(dataset, x_full, config, plan, fitted):
+            if isinstance(out, Exception):
+                out = SplitOutcome.failure(f"{type(out).__name__}: {out}")
             outcomes.append(out)
 
     usable = [o for o in outcomes if o.usable]

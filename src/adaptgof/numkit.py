@@ -33,21 +33,24 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def chi2_sf(x: float, k: int) -> float:
+def chi2_sf(x, k):
     """Upper-tail probability P(chi2_k > x), from ``scipy.special.chdtrc``.
 
+    Accepts scalars (returning a float) or arrays that broadcast together,
+    such as the p-values of a stack of splits; ``k`` is truncated to an
+    integer.
+
     Raises:
-        ValueError: if ``x < 0`` or ``k < 1``.
+        ValueError: if any ``x < 0`` or ``k < 1``.
     """
-    x = float(x)
-    k = int(k)
-    if x < 0.0:
-        raise ValueError(f"chi2_sf requires x >= 0, got {x}")
-    if k < 1:
-        raise ValueError(f"chi2_sf requires k >= 1, got {k}")
-    if x == 0.0:
-        return 1.0
-    return float(chdtrc(k, x))
+    xs = np.asarray(x, dtype=float)
+    ks = np.asarray(k).astype(int)
+    if np.any(xs < 0.0):
+        raise ValueError(f"chi2_sf requires x >= 0, got {xs[xs < 0.0].flat[0]}")
+    if np.any(ks < 1):
+        raise ValueError(f"chi2_sf requires k >= 1, got {ks[ks < 1].flat[0]}")
+    out = chdtrc(ks, xs)  # exactly 1.0 at x = 0
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -9,23 +9,32 @@ children, until the target group count is reached or no feasible cut remains.
 
 The continuous cut search works on presorted columns (the presorting of
 CART, and the exact-greedy scan over sorted column blocks of XGBoost). Each
-continuous column is sorted once per search -- or once per test, since
-``greedy_partition`` accepts the stable order of every column as ``order`` --
-and each child group's sorted rows are filtered from its parent's. All
-continuous columns of a node have the same rows, so they share the ranks of
-their candidate thresholds: one call per node, ``_best_threshold_cuts``,
-gathers every column's running residual and variance sums at those ranks into
-one (column, candidate) array and scores all pairs in one expression. A node
-keeps one 1-D row order per column rather than a stacked (columns x rows)
-array: at 18,000 rows the stacked arrays are large fresh allocations whose
-page faults cost more than the per-column calls they save. Because a stable
-sort of a subset equals the parent's stable order restricted to that subset,
-the running sums are the ones a fresh per-node sort would give.
+continuous column is sorted and ranked once per search -- or once per test,
+as a test does for all its splits (``greedy_partition`` accepts the stable
+order of every column as ``order``) -- and each child group's sorted rows
+are filtered from its parent's. Because a stable sort of a subset equals the
+parent's stable order restricted to that subset, the running sums are the
+ones a fresh per-node sort would give.
+
+The search runs every split of a stack in lockstep (``_greedy_stack``;
+``greedy_partition`` is its one-split case): each step pops the next queued
+node of every split still growing and scores the threshold cuts of all of
+them in one call, ``_best_threshold_cuts``. All continuous columns of a node
+have the same rows, so they share the ranks of their candidate thresholds.
+For each column, the step's nodes lie one per row of a zero-padded
+(node x row) array, one complex ``cumsum`` gives every node's running
+residual and variance sums, and one expression scores every (column, node,
+candidate) triple. The layout keeps one such array per column and never one
+(columns x rows) array per node: at 18,000 rows those per-node arrays are
+large fresh allocations whose page faults cost more than the calls they
+save. Membership cuts are scored node by node, from labels coded once per
+test (``_code_labels``).
 
 Each group's term of the grouped chi-squared value, (residual sum)^2 /
 (variance sum), comes from one kernel, ``_group_contributions``, which
-``grouped_chi2``, ``criterion_b``, ``gof.bag_statistic`` and
-``gof.bag_gradient`` (all 2p perturbations at once) share.
+``grouped_chi2``, ``criterion_b`` and the statistic and its gradient in
+``gof`` (every split of a stack, and all 2p perturbations of each, at once)
+share.
 
 Determinism matters here: ties in the cut search are broken first by larger
 criterion value, then by lexicographically smaller source name, then by
@@ -207,19 +216,23 @@ def _group_contributions(y, p, g, n_groups: int):
     Returns ``(contrib, live)``; an empty group contributes 0. ``n_groups`` is
     only a minimum length: the arrays reach the largest label in ``g``.
 
-    ``p`` may also stack m probability vectors of the same rows (m x n); then
-    ``contrib`` is m x width, from one pair of weighted ``bincount`` calls in
-    which vector c's labels are offset by c * width. A bin still adds its
-    rows in row order, so each vector's sums are the ones it would get alone.
+    ``p`` may also stack probability vectors (shape ... x n), with ``y`` and
+    ``g`` broadcast against it: the splits of a stack, or the 2p perturbed
+    vectors of each. Then ``contrib`` is ... x width and ``live`` has the
+    leading shape of ``g``, from one set of ``bincount`` calls in which
+    vector c's labels are offset by c * width. A bin still adds its rows in
+    row order, so each vector's sums are the ones it would get alone.
     """
     p = np.asarray(p, dtype=float)
     g = np.asarray(g, dtype=int)
-    counts = np.bincount(g, minlength=n_groups)
-    width = counts.size  # max(n_groups, largest label + 1)
-    live = counts > 0
-    m = math.prod(p.shape[:-1])  # 1 for a single vector
-    labels = (g + width * np.arange(m)[:, None]).ravel()
-    shape = (*p.shape[:-1], width)
+    width = max(n_groups, int(g.max(initial=-1)) + 1)
+    sets = g.reshape(-1, g.shape[-1])  # the distinct label vectors
+    live = np.bincount((sets + width * np.arange(len(sets))[:, None]).ravel(),
+                       minlength=len(sets) * width).reshape(*g.shape[:-1], width) > 0
+    lead = p.shape[:-1]
+    m = math.prod(lead)  # 1 for a single vector
+    labels = (g + width * np.arange(m).reshape(*lead, 1)).ravel()
+    shape = (*lead, width)
     resid_sums = np.bincount(labels, weights=(np.asarray(y, dtype=float) - p).ravel(),
                              minlength=m * width).reshape(shape)
     var_sums = np.bincount(labels, weights=(p * (1.0 - p)).ravel(),
@@ -297,23 +310,24 @@ def candidate_discrete_splits(labels, n_min: int, residuals=None) -> list:
     by within-group mean residual and only the m - 1 contiguous splits of
     that ordering are considered (``residuals`` is required then).
     """
-    labels, _, sides = _label_sides(np.asarray(labels), n_min, residuals)
+    labels, codes = np.unique(np.asarray(labels), return_inverse=True)
+    sides = _label_sides(labels, codes, n_min, residuals)
     return [tuple(sorted(labels[side].tolist(), key=str)) for side in sides]
 
 
-def _label_sides(labs, n_min: int, residuals):
-    """Code a group's labels once and list its feasible "in" sides.
+def _label_sides(labels, codes, n_min: int, residuals):
+    """The feasible "in" sides of a group's coded labels.
 
-    Returns ``(labels, codes, sides)``: the sorted distinct labels, each row's
-    index into them, and a boolean (candidate x label) array of the sides
-    that leave ``n_min`` rows on both sides, in candidate order: for m <= 6
-    labels every subset holding the first label, counted in binary; for m > 6
-    the prefixes of the labels ranked by (mean residual, ``str(label)``).
+    ``labels`` are the group's sorted distinct labels and ``codes`` each
+    row's index into them. Returns a boolean (candidate x label) array of the
+    sides that leave ``n_min`` rows on both sides, in candidate order: for
+    m <= 6 labels every subset holding the first label, counted in binary;
+    for m > 6 the prefixes of the labels ranked by (mean residual,
+    ``str(label)``).
     """
-    labels, codes = np.unique(labs, return_inverse=True)
     m = labels.size
     if m < 2:
-        return labels, codes, np.empty((0, m), dtype=bool)
+        return np.empty((0, m), dtype=bool)
     if m <= _ENUMERATION_LIMIT:
         odd = 2 * np.arange(2 ** (m - 1) - 1) + 1  # bit 0, the first label, always set
         sides = (odd[:, None] >> np.arange(m) & 1).astype(bool)
@@ -326,7 +340,7 @@ def _label_sides(labs, n_min: int, residuals):
         rank = np.argsort(sorted(range(m), key=keys.__getitem__))  # each label's place
         sides = rank < np.arange(1, m)[:, None]
     size = sides @ np.bincount(codes, minlength=m)
-    return labels, codes, sides[(size >= n_min) & (codes.size - size >= n_min)]
+    return sides[(size >= n_min) & (codes.size - size >= n_min)]
 
 
 # ---------------------------------------------------------------------------
@@ -334,55 +348,89 @@ def _label_sides(labs, n_min: int, residuals):
 # ---------------------------------------------------------------------------
 
 
-def _best_threshold_cuts(columns, orders, rv, n_min):
-    """Best threshold cut over every continuous column of one node, or None.
+def _best_threshold_cuts(srcs, keys, rv, n0, n_min):
+    """Best threshold cut over every continuous column of each of a nodes.
 
-    ``orders`` holds the node's rows in the ascending order of each of
-    ``columns``, and ``rv`` stacks the residuals and variances of all rows.
-    The columns share the node's n0 and hence the candidate ranks. Each
-    column adds its running sums at its candidates' left ends (every run of
-    ties goes left whole) to one (column, candidate) array, and one
-    expression scores every pair.
+    The nodes' rows are concatenated: node t holds positions
+    ``start[t]:start[t] + n0[t]`` of ``srcs[j]``, its flat rows in the
+    ascending order of continuous column j. The nodes belong to distinct
+    splits, in split order. ``keys[j]`` gives every flat row its tie key in
+    column j: rows of one split with equal values share a key, keys ascend
+    with the value within a split and from one split to the next. ``rv``
+    gives every flat row its residual + 1j * variance, and 0 at the padding
+    row.
 
-    Returns ``(b, column, threshold)``: the children's B, the winning
-    column's index and its threshold. The flat ``argmax`` keeps the first
-    maximum in row-major order: the earlier column, then the smaller
-    threshold. Equal thresholds have equal left counts and equal B, so
-    duplicates need no removal.
+    All nodes and columns share one set of array operations. The nodes' rows
+    of a column are laid out one node per row of a zero-padded (node x row)
+    array, and one complex ``cumsum`` gives every node's running residual and
+    variance sums: each lane adds in row order, and padding after a node's
+    end leaves its prefix sums as they are. A node's candidates are the ranks
+    of its own n0 (padded to the longest list, and never feasible there);
+    each candidate's left end is the last row of its run of ties, found by
+    one ``searchsorted`` over the nodes' tie keys, which ascend across the
+    concatenation. One expression scores every (column, node, candidate)
+    triple.
+
+    Returns ``(b, hit, col, rank, last)``, one entry per node: the best B,
+    whether that cut is feasible, its column, the rank of its threshold row
+    and the position of its last left row (both within the node's rows). The
+    ``argmax`` over each node's (column, candidate) block keeps the first
+    maximum: the earlier column, then the smaller threshold. Equal thresholds
+    have equal left counts and equal B, so duplicates need no removal.
     """
-    n_cols, n0 = len(orders), orders[0].size
+    a, n_cols, width = n0.size, len(srcs), int(n0.max())
+    start = np.cumsum(n0) - n0
     rho = n0 // n_min
-    ranks = _lower_quantile_index(n0, np.arange(1, rho) / rho)
-    m = ranks.size
-    last = np.empty((n_cols, m + 1), dtype=np.intp)  # last left row per cut, then row n0 - 1
-    last[:, m] = n0 - 1
-    sums = np.empty((n_cols, 2, m + 1))
+    m = int(rho.max()) - 1
+    j = np.arange(1, m + 1)
+    ranks = _lower_quantile_index(n0[:, None], j / rho[:, None])
+    at = start[:, None] + ranks  # each candidate's threshold row, as a position in srcs
+    cell = np.arange(a)[:, None] * width  # each node's first cell of the padded array
+    # Each column's rows go through one padded index array (a stack of one
+    # split, or of equal nodes, needs no padding) into one buffer: per-column
+    # arrays would hold a stack's rows several times over.
+    padded = None
+    if not (n0 == width).all():
+        padded = np.full(a * width, rv.size - 1)
+        pad = np.arange(n0.sum()) + np.repeat(cell[:, 0] - start, n0)
+    cum = np.empty((a, width), dtype=complex)
+    ends = np.empty((a, m + 1), dtype=np.intp)  # last left row per candidate, then the node's last
+    ends[:, m] = n0 - 1
+    last = np.empty((n_cols, a, m), dtype=np.intp)
+    sums = np.empty((n_cols, a, m + 1), dtype=complex)
     # ndarray methods: the np.* wrappers cost as much as the work at small n0
-    for j, (col, o) in enumerate(zip(columns, orders)):
-        vs = col.take(o)
-        last[j, :m] = vs.searchsorted(vs[ranks], side="right") - 1
-        cum = rv.take(o, axis=1)
-        cum.cumsum(axis=1, out=cum)
+    for c, (src, key) in enumerate(zip(srcs, keys)):
+        tie = key.take(src)
+        last[c] = tie.searchsorted(tie.take(at), side="right") - 1 - start[:, None]
+        ends[:, :m] = last[c]
+        if padded is not None:
+            padded[pad] = src
         # mode="clip" writes straight into ``out``; "raise" would buffer it
-        cum.take(last[j], axis=1, out=sums[j], mode="clip")
-    ok = (last[:, :m] >= n_min - 1) & (last[:, :m] < n0 - n_min)
-    lr, lv = sums[:, 0, :m], sums[:, 1, :m]
-    tot_r, tot_v = sums[:, 0, m:], sums[:, 1, m:]
+        rv.take(src if padded is None else padded, out=cum.reshape(-1), mode="clip")
+        cum.cumsum(axis=1, out=cum)
+        cum.take(ends + cell, out=sums[c], mode="clip")
+    ok = (j < rho[:, None]) & (last >= n_min - 1) & (last < (n0 - n_min)[:, None])
+    lr, lv = sums[:, :, :m].real, sums[:, :, :m].imag
+    tot_r, tot_v = sums[:, :, m:].real, sums[:, :, m:].imag
     b = np.divide((tot_r - lr) ** 2, tot_v - lv, out=np.full(ok.shape, -np.inf), where=ok)
     b += lr**2 / lv
-    i = int(np.argmax(b))
-    if not ok.flat[i]:
-        return None
-    j = i // m
-    return float(b.flat[i]), j, float(columns[j][orders[j][ranks[i % m]]])
+    col, cand = np.divmod(b.transpose(1, 0, 2).reshape(a, n_cols * m).argmax(axis=1), m)
+    node = np.arange(a)
+    return (b[col, node, cand], ok[col, node, cand], col, ranks[node, cand],
+            last[col, node, cand])
 
 
-def _best_discrete_cut(labs, resid, var, n_min):
-    """Best membership split for one column: (children B, label tuple) or None."""
-    labels, codes, sides = _label_sides(labs, n_min, resid)
+def _best_discrete_cut(labels, codes, resid, var, n_min):
+    """Best membership split for one column: (children B, label tuple) or None.
+
+    ``labels`` are the column's sorted distinct labels and ``codes`` each of
+    the group's rows' index into them; labels the group lacks take no part.
+    """
+    present = np.bincount(codes, minlength=labels.size) > 0
+    labels, codes = labels[present], (np.cumsum(present) - 1).take(codes)
     tot_r, tot_v = float(resid.sum()), float(var.sum())
     best = None
-    for side in sides:  # candidate order is deterministic; ties keep the first
+    for side in _label_sides(labels, codes, n_min, resid):  # ties keep the first
         mask = side[codes]  # masked sums: bincount sums round differently, flipping near-ties
         lr, lv = float(resid[mask].sum()), float(var[mask].sum())
         b = lr**2 / lv + (tot_r - lr) ** 2 / (tot_v - lv)
@@ -400,6 +448,35 @@ def presort(columns: dict, names) -> dict:
     return {s: np.argsort(np.asarray(columns[s], dtype=float), kind="stable") for s in names}
 
 
+def _tie_ranks(columns: dict, order: dict) -> dict:
+    """Each presorted column's dense value ranks, keyed by name.
+
+    Rows with equal values share a rank and ranks ascend with the value, so
+    the search finds the last row of a run of ties in a group by one integer
+    ``searchsorted``. A test ranks each column once, over all its rows; a
+    split's training rows keep their order and ties.
+    """
+    out = {}
+    for s, o in order.items():
+        srt = np.asarray(columns[s], dtype=float).take(o)
+        rank = np.zeros(o.size, dtype=np.intp)
+        np.cumsum(srt[1:] != srt[:-1], out=rank[1:])
+        out[s] = np.empty_like(rank)
+        out[s].put(o, rank)
+    return out
+
+
+def _code_labels(columns: dict, names) -> dict:
+    """Each named discrete column as ``(labels, codes)``: its sorted distinct
+    labels and each row's index into them.
+
+    A test codes its discrete columns once; the search then finds each
+    group's labels from integer codes, since ``np.unique`` over strings would
+    cost most of a group's membership cuts.
+    """
+    return {s: np.unique(np.asarray(columns[s]), return_inverse=True) for s in names}
+
+
 def greedy_partition(
     config: PartitionConfig, columns: dict, y, phat, order: dict | None = None
 ) -> Partition:
@@ -413,92 +490,197 @@ def greedy_partition(
 
     ``order`` maps every continuous source to the stable ascending order of
     its rows, as ``presort`` returns it; it is computed here when not given.
-    Each group's sorted rows are filtered from its parent's, so no column is
-    sorted more than once per call, and each group's continuous cuts are
-    scored in one call.
+    This is the one-split case of the lockstep search of a stack of splits,
+    ``_greedy_stack``.
 
     Raises:
         InfeasiblePartitionError: when even the root cannot be split.
     """
-    y = np.asarray(y, dtype=float)
-    p = np.asarray(phat, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValueError("fitted probabilities must lie strictly in (0, 1)")
-    n = y.size
-    resid = y - p
-    var = p * (1.0 - p)
-
     for s in sorted(config.continuous + config.discrete):
         if s not in columns:
             raise MissingColumnError(s)
+    order = {s: np.asarray(order[s]) for s in config.continuous} if order else presort(
+        columns, config.continuous)
+    y = np.asarray(y, dtype=float)
+    [part] = _greedy_stack(config, columns, order, _tie_ranks(columns, order),
+                           _code_labels(columns, config.discrete), np.arange(y.size)[None],
+                           y[None], np.asarray(phat, dtype=float)[None])
+    if isinstance(part, Exception):
+        raise part
+    return part
+
+
+def _root_lanes(order: dict, ordered: list, rows: np.ndarray, discrete: bool) -> list:
+    """Every split's training rows as flat rows, split after split, in the
+    order of each continuous column and then, with discrete sources, in row
+    order: one array per lane.
+
+    Each split's order follows from the shared one in O(n), with no sort.
+    """
+    s, n = rows.shape
+    lanes = []
+    if ordered:
+        member = np.zeros((s, order[ordered[0]].size), dtype=bool)
+        np.put_along_axis(member, rows, True, axis=1)
+        flat = (np.cumsum(member) - 1).reshape(member.shape)  # i * n + rank in split i
+        for name in ordered:
+            o = order[name]
+            lanes.append(flat.take(o, axis=1).compress(member.take(o, axis=1).ravel()))
+    if discrete:
+        lanes.append(np.arange(s * n))
+    return lanes
+
+
+def _greedy_stack(config: PartitionConfig, columns: dict, order: dict, ties: dict,
+                  coded: dict, rows: np.ndarray, y: np.ndarray, phat: np.ndarray) -> list:
+    """The search of ``greedy_partition`` on every split of a stack, in lockstep.
+
+    ``columns`` holds the columns of all rows, and ``order``, ``ties`` and
+    ``coded`` are what ``presort``, ``_tie_ranks`` and ``_code_labels`` give
+    for them. ``rows`` lists each split's training rows of the columns, in
+    ascending order (s x n), and ``y`` and ``phat`` their responses and
+    probabilities (s x n).
+
+    Row r of split i is flat row i * n + r. A node's lanes are its flat rows
+    in the ascending order of each continuous column and, when there are
+    discrete sources, in ascending row order. Each step pops the next queued
+    node of every split that is still growing, lays their lanes end to end
+    (a view when they already are) and scores the threshold cuts of all of
+    them at once (``_best_threshold_cuts``); the membership cuts are scored
+    node by node. One mask of the left rows then splits every lane of every
+    node, so a child's lanes are its parent's filtered in order: a stable
+    sort of a subset is the parent's stable order restricted to it, and every
+    running sum and tie is the one a fresh per-node sort gives. Every split
+    sees the cuts, ties and sums it would see alone, so its partition does
+    not depend on the stack.
+
+    Returns one entry per split: its ``Partition``, or the exception its
+    search raises alone (``InfeasiblePartitionError``, or ``ValueError`` for
+    probabilities outside (0, 1)).
+    """
+    p = np.asarray(phat, dtype=float)
+    s, n = p.shape
+    results = [None] * s
+    for i in np.flatnonzero(((p <= 0.0) | (p >= 1.0)).any(axis=1)):
+        results[i] = ValueError("fitted probabilities must lie strictly in (0, 1)")
+    rv = np.zeros(s * n + 1, dtype=complex)  # flat row s * n pads
+    rv.real[:-1] = (np.asarray(y, dtype=float) - p).ravel()
+    rv.imag[:-1] = (p * (1.0 - p)).ravel()
+    resid, var = rv.real, rv.imag
+    n_min = config.n_min
     ordered = sorted(config.continuous)
     discrete = sorted(config.discrete)
-    continuous = [np.asarray(columns[s], dtype=float) for s in ordered]
-    cols = dict(zip(ordered, continuous)) | {s: np.asarray(columns[s]) for s in discrete}
-    if order is None:
-        order = presort(cols, ordered)
-    rv = np.stack([resid, var])
+    rows = np.asarray(rows)
+    cols = [np.asarray(columns[name], dtype=float) for name in ordered]
+    roots = _root_lanes(order, ordered, rows, bool(discrete))
+    keys = []
+    for name in ordered:
+        key = ties[name].take(rows)
+        key += cols[0].size * np.arange(s)[:, None]  # keys ascend across splits too
+        keys.append(key.ravel())
+    codes = {name: (labels, c.take(rows).ravel()) for name, (labels, c) in coded.items()}
 
-    # A node is (rows in ascending index order, rules, rows of the node in
-    # each continuous column's ascending order). A stable sort of a subset
-    # equals the parent's stable order filtered to that subset, so every
-    # running sum and tie matches a fresh per-node sort.
-    def best_split(node):
-        idx, _, orders = node
-        if idx.size < 2 * config.n_min:
-            return None
-        best = None  # (b, source, kind, payload)
-        if ordered:
-            found = _best_threshold_cuts(continuous, orders, rv, config.n_min)
-            if found is not None:
-                best = (found[0], ordered[found[1]], "le", found[2])
-        for s in discrete:  # on equal B the lexicographically smaller source wins
-            found = _best_discrete_cut(cols[s][idx], resid[idx], var[idx], config.n_min)
-            if found is not None and (best is None or found[0] > best[0]
-                                      or (found[0] == best[0] and s < best[1])):
-                best = (found[0], s, "in", found[1])
-        return best
-
-    def children(node, found):
-        idx, rules, orders = node
-        _, source, kind, payload = found
-        if kind == "le":
-            pair = (AxisRule(source, "le", threshold=payload),
-                    AxisRule(source, "gt", threshold=payload))
-        else:
-            pair = (AxisRule(source, "in", labels=payload),
-                    AxisRule(source, "not-in", labels=payload))
-        # the rule is evaluated on the node's rows only; rows outside the
-        # node are never read from either side
-        left = np.zeros(n, dtype=bool)
-        left[idx] = pair[0].matches({source: cols[source][idx]})
-        # compress gives what boolean indexing gives, several times
-        # faster on scattered masks
-        return [
-            (idx.compress(side[idx]), rules + (rule,), [o.compress(side[o]) for o in orders])
-            for side, rule in zip((left, ~left), pair)
-        ]
-
-    queue = deque([(np.arange(n), (), [np.asarray(order[s]) for s in ordered])])
-    finished = []
-    total = 1
-    while queue and total < config.k:
-        node = queue.popleft()
-        found = best_split(node)
-        if found is None:
-            finished.append(node)
+    # A node is (rules, lanes, lo, hi): its flat rows are positions lo:hi of
+    # each array in ``lanes``, which the children of one step share.
+    queues = [deque([((), roots, i * n, (i + 1) * n)] if results[i] is None else ())
+              for i in range(s)]
+    del roots  # the root nodes hold their lanes from here, and free them once split
+    finished = [[] for _ in range(s)]  # (rules, row count): a finished node keeps no lanes
+    total = [1] * s
+    while True:
+        popped = [(i, queues[i].popleft()) for i in range(s) if queues[i] and total[i] < config.k]
+        if not popped:
+            break
+        nodes = []
+        for i, (rules, lanes, lo, hi) in popped:
+            if hi - lo < 2 * n_min:
+                finished[i].append((rules, hi - lo))
+            else:
+                nodes.append((i, rules, lanes, lo, hi))
+        if not nodes:
             continue
-        queue.extend(children(node, found))
-        total += 1
-    if total == 1:
-        raise InfeasiblePartitionError(
-            "the root group admits no feasible split; lower n_min or provide more data"
-        )
+        n0 = np.array([hi - lo for *_, lo, hi in nodes])
+        start = (np.cumsum(n0) - n0).tolist()
+        lanes = nodes[0][2]
+        if all(node[2] is lanes for node in nodes) and all(
+                a[4] == b[3] for a, b in zip(nodes, nodes[1:])):
+            # consecutive rows of the same lanes, as after a step that cut every node
+            srcs = [lane[nodes[0][3]:nodes[-1][4]] for lane in lanes]
+        else:
+            srcs = [np.concatenate([node[2][j][node[3]:node[4]] for node in nodes])
+                    for j in range(len(lanes))]
 
-    nodes = finished + list(queue)
-    groups = tuple(Group(rules=r, train_count=int(i.size)) for i, r, _ in nodes)
-    used = sorted({rule.source for g in groups for rule in g.rules})
-    return Partition(groups=groups, sources=tuple(used))
+        # (b, source, kind, payload, where): where finds the cut's left rows, as
+        # their count in the column's order or as the node's label codes
+        found = [None] * len(nodes)
+        if ordered:
+            b, hit, col, rank, last = _best_threshold_cuts(
+                srcs[:len(ordered)], keys, rv, n0, n_min)
+            for t in np.flatnonzero(hit).tolist():
+                c, at = int(col[t]), start[t]
+                found[t] = (float(b[t]), ordered[c], "le",
+                            float(cols[c][rows.flat[srcs[c][at + rank[t]]]]), int(last[t]) + 1)
+        for t in range(len(nodes) if discrete else 0):
+            idx = srcs[-1][start[t]:start[t] + n0[t]]
+            r, v = resid.take(idx), var.take(idx)
+            for name in discrete:  # on equal B the lexicographically smaller source wins
+                labels, all_codes = codes[name]
+                node_codes = all_codes.take(idx)
+                cut = _best_discrete_cut(labels, node_codes, r, v, n_min)
+                best = found[t]
+                if cut is not None and (best is None or cut[0] > best[0]
+                                        or (cut[0] == best[0] and name < best[1])):
+                    found[t] = (cut[0], name, "in", cut[1], node_codes)
+
+        # mark every winning cut's left rows, then split every lane of every node at once
+        left = np.zeros(s * n + 1, dtype=bool)
+        counts = [0] * len(nodes)
+        pairs = [None] * len(nodes)
+        for t, cut in enumerate(found):
+            i, rules = nodes[t][:2]
+            if cut is None:
+                finished[i].append((rules, int(n0[t])))
+                continue
+            _, source, kind, payload, where = cut
+            if kind == "le":
+                pairs[t] = (AxisRule(source, "le", threshold=payload),
+                            AxisRule(source, "gt", threshold=payload))
+                chosen = srcs[ordered.index(source)][start[t]:start[t] + where]
+            else:
+                pairs[t] = (AxisRule(source, "in", labels=payload),
+                            AxisRule(source, "not-in", labels=payload))
+                # the rule is evaluated on the column's labels, then read through the codes
+                idx = srcs[-1][start[t]:start[t] + n0[t]]
+                chosen = idx[pairs[t][0].matches({source: codes[source][0]})[where]]
+            left[chosen] = True
+            counts[t] = chosen.size
+        sides = [left.take(src) for src in srcs]
+        goes_left = [src.compress(side) for src, side in zip(srcs, sides)]
+        goes_right = [src.compress(~side) for src, side in zip(srcs, sides)]
+        rest = n0 - counts
+        left_at = (np.cumsum(counts) - counts).tolist()
+        right_at = (np.cumsum(rest) - rest).tolist()
+        for t, pair in enumerate(pairs):
+            if pair is None:
+                continue
+            i, rules = nodes[t][:2]
+            l0, r0 = left_at[t], right_at[t]
+            queues[i].append((rules + (pair[0],), goes_left, l0, l0 + counts[t]))
+            queues[i].append((rules + (pair[1],), goes_right, r0, r0 + int(rest[t])))
+            total[i] += 1
+
+    for i in range(s):
+        if results[i] is not None:
+            continue
+        if total[i] == 1:
+            results[i] = InfeasiblePartitionError(
+                "the root group admits no feasible split; lower n_min or provide more data")
+            continue
+        groups = tuple(Group(rules=rules, train_count=int(size)) for rules, size in
+                       finished[i] + [(rules, hi - lo) for rules, _, lo, hi in queues[i]])
+        used = sorted({rule.source for g in groups for rule in g.rules})
+        results[i] = Partition(groups=groups, sources=tuple(used))
+    return results
 
 
 def assign_groups(partition: Partition, columns: dict) -> np.ndarray:

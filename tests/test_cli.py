@@ -349,6 +349,19 @@ class TestTestCommand:
         assert "--train-size" in captured.err and "--train-fraction" in captured.err
         assert "decision" not in captured.out
 
+    @pytest.mark.parametrize("fraction", ["nan", "inf", "0", "1", "-0.5", "1.5", "0.0001"])
+    def test_train_fraction_outside_the_unit_interval_is_an_error(self, tmp_path, capsys,
+                                                                 fraction):
+        # nan and inf used to escape as a traceback from int(); 0.0001 of 300
+        # rows leaves no training row
+        path = setting1_csv(tmp_path, n=300)
+        code = main(["test", "--input", path, "--response", "y", "--formula", "x1 + x2",
+                     "--splits", "5", "--train-fraction", fraction])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: --train-fraction ")
+        assert "decision" not in captured.out
+
 
 class TestDiagnoseCommand:
     def test_prints_ranking(self, tmp_path, capsys):

@@ -457,23 +457,38 @@ class TestMultiSplit:
             n: (total[n], max_group[n]) for n in total | max_group
         }
 
-    @pytest.mark.parametrize("failure", ["RankDeficiencyError", "SingleClassError"])
+    @pytest.mark.parametrize(
+        "failure", ["RankDeficiencyError", "SingleClassError", "InfeasiblePartitionError"])
     def test_reports_do_not_depend_on_the_stack_size(self, monkeypatch, failure):
         # x2 is nonzero on two rows only, or y holds two positives: a split
-        # that holds both rows out of training fails its fit alone
+        # that holds both rows out of training fails its fit alone. For the
+        # covariate search, c is 0 and d is "u" on 48 rows, so a split with
+        # fewer than n_min = 8 of the other 12 rows of each in training has no
+        # feasible root cut and fails its search alone.
         rng = np.random.default_rng(3)
         n = 60
         x1, x2 = rng.normal(size=n), rng.normal(size=n)
         y = (rng.random(n) < 1.0 / (1.0 + np.exp(-x1))).astype(int)
+        columns = {"x1": x1, "x2": x2}
+        kinds = {"x1": "continuous", "x2": "continuous"}
+        cfg = TestConfig(k=3, train_size=40, splits=40, partition_by="mta-prob")
         if failure == "RankDeficiencyError":
             x2 = np.zeros(n)
             x2[:2] = (1.0, 2.0)
-        else:
+            columns["x2"] = x2
+        elif failure == "SingleClassError":
             y = np.zeros(n, dtype=int)
             y[:2] = 1
-        ds = Dataset(y=y, columns={"x1": x1, "x2": x2},
-                     kinds={"x1": "continuous", "x2": "continuous"})
-        cfg = TestConfig(k=3, train_size=40, splits=40, partition_by="mta-prob")
+        else:
+            c = np.zeros(n)
+            c[:12] = rng.uniform(1.0, 2.0, size=12)
+            d = np.array(["u"] * n, dtype=object)
+            d[20:32] = ["v", "w"] * 6
+            columns |= {"c": c, "d": d}
+            kinds |= {"c": "continuous", "d": "discrete"}
+            cfg = TestConfig(k=3, n_min=8, train_size=40, splits=40,
+                             continuous=("c",), discrete=("d",))
+        ds = Dataset(y=y, columns=columns, kinds=kinds)
         reports = []
         for rows in (1, 40 * 40):  # one split per stack, then all 40 in one
             monkeypatch.setattr(gof, "_STACK_ROWS", rows)
@@ -484,6 +499,10 @@ class TestMultiSplit:
         errors = [o.error for o in report.outcomes if o.failed]
         assert errors and all(e.startswith(failure + ": ") for e in errors)
         assert len(errors) < cfg.splits
+        if failure == "InfeasiblePartitionError":
+            rules = {r.source for o in report.outcomes if not o.failed
+                     for g in o.partition.groups for r in g.rules}
+            assert rules == {"c", "d"}
 
     def test_programming_errors_propagate(self, monkeypatch):
         spec = make_setting("1", 200, beta3=0.651)

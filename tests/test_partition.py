@@ -28,7 +28,14 @@ from adaptgof.cli import parse_csv
 from adaptgof.formula import design_matrix
 from adaptgof.glm import DesignMatrix
 from adaptgof.gof import TestConfig, default_train_size, single_split_test
-from adaptgof.partition import _best_discrete_cut, grouped_chi2, presort
+from adaptgof.partition import (
+    _best_discrete_cut,
+    _code_labels,
+    _greedy_stack,
+    _tie_ranks,
+    grouped_chi2,
+    presort,
+)
 from adaptgof.sim import SETTINGS, generate, make_setting
 
 from _fixtures import (
@@ -166,7 +173,8 @@ class TestDiscreteCutsMatchOracle:
                     splits = candidate_discrete_splits(labs, n_min, residuals=resid)
                     expected = discrete_splits_oracle(labs, n_min, residuals=resid)
                     assert repr(splits) == repr(expected)
-                    cut = _best_discrete_cut(labs, resid, var, n_min)
+                    coded = np.unique(labs, return_inverse=True)
+                    cut = _best_discrete_cut(*coded, resid, var, n_min)
                     assert repr(cut) == repr(discrete_cut_oracle(labs, resid, var, n_min))
 
     def test_mixed_types_near_tie_still_goes_to_city(self):
@@ -439,6 +447,58 @@ class TestPartitionProperties:
         moved = dict(cols, c0=transform(cols["c0"]))
         assert np.array_equal(assign_groups(greedy_partition(cfg, moved, y, phat), moved),
                               assign_groups(part, cols))
+
+
+@st.composite
+def _stack_inputs(draw):
+    """A stack of 1 to 25 searches, each over its own n of the same N rows, as
+    the splits of one test draw them: 0 to 3 integer columns with ties (a tie
+    range of 0 makes a column constant) and, in some draws, a discrete column
+    of 2 to 9 labels that some splits may lack; n_min at 1, n // 4, n // 2 or
+    n // 2 + 1."""
+    s = draw(st.integers(1, 25))
+    n = draw(st.integers(4, 60))
+    total = n + draw(st.integers(0, 40))
+    n_cols = draw(st.integers(0, 3))
+    m = draw(st.integers(2, 9)) if n_cols == 0 or draw(st.booleans()) else 0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = {f"c{j}": rng.integers(-t, t + 1, size=total).astype(float)
+            for j, t in enumerate(draw(st.lists(st.integers(0, 5), min_size=n_cols,
+                                                max_size=n_cols)))}
+    discrete = ()
+    if m:
+        # "c0d" sorts between c0 and c1, so the merge order matters
+        cols["c0d"] = np.array([f"L{c}" for c in rng.integers(0, m, total)])
+        discrete = ("c0d",)
+    rows = np.sort(np.stack([rng.permutation(total)[:n] for _ in range(s)]), axis=1)
+    y = rng.integers(0, 2, size=total)[rows]
+    phat = rng.uniform(0.05, 0.95, size=(s, n))
+    n_min = max(1, draw(st.sampled_from([1, n // 4, n // 2, n // 2 + 1])))
+    cfg = PartitionConfig(k=draw(st.integers(2, 8)), n_min=n_min,
+                          continuous=tuple(f"c{j}" for j in range(n_cols)), discrete=discrete)
+    return cfg, cols, rows, y, phat
+
+
+def _search_alone(search, cfg, cols, y, phat):
+    try:
+        return search(cfg, cols, y, phat)
+    except InfeasiblePartitionError as exc:
+        return type(exc)
+
+
+class TestLockstepSearch:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_stack_inputs())
+    def test_each_split_gets_its_partition_alone(self, inputs):
+        cfg, cols, rows, y, phat = inputs
+        order = presort(cols, cfg.continuous)
+        stacked = _greedy_stack(cfg, cols, order, _tie_ranks(cols, order),
+                                _code_labels(cols, cfg.discrete), rows, y, phat)
+        for i, got in enumerate(stacked):
+            alone = {c: v[rows[i]] for c, v in cols.items()}
+            expected = _search_alone(greedy_partition_oracle, cfg, alone, y[i], phat[i])
+            assert _search_alone(greedy_partition, cfg, alone, y[i], phat[i]) == expected
+            assert (type(got) if isinstance(got, Exception) else got) == expected
 
 
 @st.composite
