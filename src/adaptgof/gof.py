@@ -15,17 +15,20 @@ Four layers, bottom to top:
   K degrees of freedom.
 * ``multi_split_test``: s independent splits on child random streams, decided
   by comparing the median p-value to the alpha-quantile of N(0.5, 1/(12 s)).
-  It works in stacks of ``max(1, _STACK_ROWS // n_train)`` splits: the rows
-  of a stack's splits are drawn from their own streams, the stack is fitted
-  by one lockstep IRLS loop (``glm._fit_stack``) and scored by
+  It works in stacks of at most ``max(1, _STACK_ROWS // n_train)`` splits,
+  evened out so that no short last stack pays a whole stack's overhead: the
+  rows of a stack's splits are drawn from their own streams, the stack is
+  fitted by one lockstep IRLS loop (``glm._fit_stack``) and scored by
   ``_score_stack``: one lockstep partition search
   (``partition._greedy_stack``) and one pass each for the test-row
-  prediction, the statistic (``_bag_values``), its gradient
-  (``_gradients``), the correction's solve (``_corrections``) and the
-  p-value. Each split's groups and outcome stay its own. Every layer gives a
-  split what it would get alone, so the report does not depend on the stack
-  size; ``single_split_test``, ``bag_statistic``, ``bag_gradient`` and
-  ``corrected_statistic`` are the one-split cases.
+  prediction, the group assignment (``partition._assign_stack``), the
+  statistic (``_bag_values``), its gradient (``_gradients``), the
+  correction's solve (``_corrections``) and the p-value. Each split's groups
+  and outcome stay its own. Every layer gives a split what it would get
+  alone, so the report does not depend on the stack size;
+  ``single_split_test``, ``bag_statistic``, ``bag_gradient``,
+  ``corrected_statistic`` and ``partition.assign_groups`` are the one-split
+  cases.
 
 Underfit diagnosis: every rule of every selected group counts once for its
 covariate ({x1 <= a & x2 > b & x2 <= c} counts x1 once and x2 twice);
@@ -46,14 +49,13 @@ from .formula import Formula, design_matrix
 from .glm import DesignMatrix, FittedGlm, _clamped_logistic, _fit_stack, _linear
 from .numkit import RandomSource, chi2_sf, empirical_quantiles, gaussian_quantile
 from .partition import (
-    CoverageError,
     Partition,
     PartitionConfig,
+    _assign_stack,
     _code_labels,
     _greedy_stack,
     _group_contributions,
     _tie_ranks,
-    assign_groups,
     grouped_chi2,  # unused here, but bench/test_bench.py patches gof.grouped_chi2
     presort,
     probability_partition,
@@ -412,99 +414,115 @@ def _gather_rows(x: DesignMatrix, rows) -> np.ndarray:
 
 
 # Training rows per stack of splits. A stack is fitted by one lockstep IRLS
-# loop and scored by one lockstep search and one pass per statistic layer, so
-# their per-call overhead is paid once per stack. Measured on setting 3 (425
-# training rows, 100 splits, one CPU) when only the fits were stacked:
-# 0.146 s per test with one split per stack, 0.095 s in stacks of 9 (4,096
-# rows), 0.091 s in stacks of 19 (8,192 rows), 0.092 s in one stack of 100;
-# larger stacks only hold more memory. A constant, not an option: it only
-# routes work, and no result depends on it.
-_STACK_ROWS = 8192
-
-# Failures that depend on the rows a split draws: ValueError covers a single
-# response class, rank deficiency, an infeasible partition and the
-# bag_statistic checks. Anything else (TypeError, IndexError, ...) is a bug and
-# propagates instead of being counted as a failed split.
-_SPLIT_FAILURES = (ValueError, CoverageError, np.linalg.LinAlgError)
+# loop and scored by one lockstep search, one group assignment and one pass per
+# statistic layer, so their per-call overhead is paid once per stack. Measured
+# on one experiment replication of setting 3 at n = 500 (425 training rows,
+# 100 splits per test; benchmark reference seconds, one CPU, medians of 4
+# alternated 20 s runs): 0.147 s in stacks of 19 (8,192 rows), 0.119 s in
+# stacks of 25 (12,288), 0.114 s in stacks of 34 (16,384) and 0.115 s in two
+# of 50 (24,576), at a peak memory of 69.4, 69.7, 70.7 and 72.7 MB. 12,288 is
+# the largest of these within 1 MB of stacks of 19. Splits of 18,000
+# training rows stay one per stack below 36,000: two per stack made a test on
+# 20,000 rows with the covariate search 8.8% slower. A constant, not an
+# option: it only routes work, and no result depends on it.
+_STACK_ROWS = 12288
 
 
-def _fit_splits(dataset: Dataset, x_full: DesignMatrix, n_train: int, rngs) -> list:
+def _fit_splits(dataset: Dataset, x_full: DesignMatrix, n_train: int, rngs) -> tuple:
     """Draw each split's rows from its own stream and fit all the splits as one stack.
 
-    Returns ``(train_idx, test_idx, fit)`` per stream, where ``fit`` is the
-    split's ``FittedGlm`` or the exception fitting it alone raises.
+    Returns ``(train, test, fits)``: each split's training and test rows in
+    ascending order (s x n_train and s x n_test, read off one membership mask
+    of the first n_train places of each permutation) and per split its
+    ``FittedGlm`` or the exception fitting it alone raises.
     """
-    n = dataset.n
-    rows = []
-    for rng in rngs:
-        perm = rng.permutation(n)
-        rows.append((np.sort(perm[:n_train]), np.sort(perm[n_train:])))
-    train = [train_idx for train_idx, _ in rows]
-    fits = _fit_stack(_gather_rows(x_full, train), dataset.y[np.stack(train)], x_full.names)
-    return [(train_idx, test_idx, fit) for (train_idx, test_idx), fit in zip(rows, fits)]
+    n, s = dataset.n, len(rngs)
+    member = np.zeros((s, n), dtype=bool)
+    np.put_along_axis(member, np.stack([rng.permutation(n)[:n_train] for rng in rngs]), True,
+                      axis=1)
+    first = n * np.arange(s)[:, None]  # each split's first place in the flat mask
+    train = np.flatnonzero(member).reshape(s, n_train) - first
+    test = np.flatnonzero(~member).reshape(s, n - n_train) - first
+    # the stack's gathered design is its own to overwrite; a float response
+    # leaves no integer copy alive during the fit
+    return train, test, _fit_stack(_gather_rows(x_full, train), dataset.y.astype(float)[train],
+                                   x_full.names, overwrite_xt=True)
 
 
 def _score_stack(dataset: Dataset, x_full: DesignMatrix, config: TestConfig, plan: tuple,
-                 fitted: list) -> list:
+                 fitted: tuple) -> list:
     """Everything of a stack of splits after their fits, one stacked pass per layer.
 
     ``fitted`` is what ``_fit_splits`` returns. The test rows of all splits
     are gathered and predicted together, the covariate partitions are
-    searched in lockstep (``partition._greedy_stack``), and the statistic,
-    its gradient, the correction's solve and the p-value each run once for
-    the stack. Each split's groups (``assign_groups``), rule counts and
-    outcome stay its own, and each stacked layer gives every split what it
-    would get alone, so no result depends on the stack.
+    searched in lockstep (``partition._greedy_stack``), the test rows are
+    assigned to their groups in one pass (``partition._assign_stack``), and
+    the statistic, its gradient, the correction's solve and the p-value each
+    run once for the stack. Each split's rule counts and outcome stay its
+    own, and each stacked layer gives every split what it would get alone,
+    so no result depends on the stack.
 
-    Returns one entry per split: its ``SplitOutcome``, or the exception (one
-    of ``_SPLIT_FAILURES``) that the split raises alone.
+    Returns one entry per split: its ``SplitOutcome``, or the exception the
+    split raises alone. Each layer hands back only the failures that depend on
+    the rows a split draws: a ``ValueError`` (a single response class, rank
+    deficiency, an infeasible partition, the ``bag_statistic`` checks) or a
+    ``CoverageError``. Anything else (TypeError, IndexError, ...) is a bug and
+    propagates instead of being counted as a failed split.
     """
     n = dataset.n
     n_train, pcfg, order, ties, coded, scores = plan
-    results = [fit if isinstance(fit, Exception) else None for _, _, fit in fitted]
-    live = [i for i, r in enumerate(results) if r is None]
+    train, test, results = fitted
+    live = [i for i, r in enumerate(results) if not isinstance(r, Exception)]
     if not live:
         return results
-    test = np.stack([fitted[i][1] for i in live])
-    models = [fitted[i][2] for i in live]
+    # a new list: the caller's ``fitted`` keeps the fits, and their memory at
+    # the top of the heap, until the next stack is fitted. Freeing them here
+    # let malloc trim the heap after every 18,000-row split: a 20,000-row
+    # covariate test then took 61.7k minor page faults instead of 4.6k and
+    # ran 8% slower.
+    results = list(results)
+    if len(live) < len(results):
+        train, test = train[live], test[live]
+    models = [results[i] for i in live]
     coef = np.stack([m.coef for m in models])
     xt_test = _gather_rows(x_full, test)
     phat_test = _clamped_logistic(_linear(coef, xt_test))
 
     if pcfg is not None:
-        train = np.stack([fitted[i][0] for i in live])
-        parts = _greedy_stack(pcfg, dataset.columns, order, ties, coded, train, dataset.y[train],
-                              np.stack([m.fitted_prob for m in models]))
-    grouped = []  # (place in the stack arrays, partition, test groups)
-    for j, i in enumerate(live):
-        try:
-            if pcfg is not None:
-                part = parts[j]
-                if isinstance(part, Exception):
-                    raise part
-                groups = assign_groups(part, {s: dataset.columns[s][test[j]] for s in part.sources})
-            else:
-                if scores is None:
-                    source, train_scores, test_scores = (
-                        _MTA_PROB_COLUMN, models[j].fitted_prob, phat_test[j])
-                else:
-                    source = config.score_column
-                    train_scores, test_scores = scores[fitted[i][0]], scores[test[j]]
-                part = probability_partition(train_scores, config.k, source=source)
-                groups = assign_groups(part, {source: test_scores})
-        except _SPLIT_FAILURES as exc:
-            results[i] = exc
-            continue
-        grouped.append((j, part, groups))
+        parts = _greedy_stack(pcfg, dataset.columns, order, ties, coded, train, dataset.y,
+                              [m.fitted_prob for m in models])
+    else:
+        source = _MTA_PROB_COLUMN if scores is None else config.score_column
+        train_scores = [m.fitted_prob for m in models] if scores is None else scores[train]
+        parts = [probability_partition(t, config.k, source=source) for t in train_scores]
+    at = []  # the splits with a partition, as places in the stack arrays
+    for j, part in enumerate(parts):
+        if isinstance(part, Exception):
+            results[live[j]] = part
+        else:
+            at.append(j)
+    if not at:
+        return results
+    if pcfg is None:
+        values = {source: phat_test if scores is None else scores[test]}
+    else:
+        values = {src: dataset.columns[src][test[at]]
+                  for src in sorted({src for j in at for src in parts[j].sources})}
+    grouped = []  # (place in the stack arrays, test groups)
+    for j, groups in zip(at, _assign_stack([parts[j] for j in at], values)):
+        if isinstance(groups, Exception):
+            results[live[j]] = groups
+        else:
+            grouped.append((j, groups))
     if not grouped:
         return results
 
-    at = [j for j, _, _ in grouped]
+    at = [j for j, _ in grouped]
     if len(at) < len(live):
         coef, xt_test, phat_test, test = coef[at], xt_test[at], phat_test[at], test[at]
     y_test = dataset.y[test]
-    groups = np.stack([g for _, _, g in grouped])
-    bags = _bag_values(y_test, phat_test, groups, [part.size for _, part, _ in grouped])
+    groups = np.stack([g for _, g in grouped])
+    bags = _bag_values(y_test, phat_test, groups, [parts[j].size for j in at])
     # a split whose statistic failed is carried through the gradient and the
     # solve, which cannot raise, and its results are dropped
     corrs = _corrections(
@@ -515,8 +533,8 @@ def _score_stack(dataset: Dataset, x_full: DesignMatrix, config: TestConfig, pla
     scored = [(b, c) for b, c in zip(bags, corrs) if not isinstance(b, Exception)]
     p_values = iter(chi2_sf(np.array([c.adjusted for _, c in scored]),
                             np.array([b.realized_k for b, _ in scored])).tolist())
-    for (j, part, _), bag, corr in zip(grouped, bags, corrs):
-        i = live[j]
+    for j, bag, corr in zip(at, bags, corrs):
+        i, part = live[j], parts[j]
         if isinstance(bag, Exception):
             results[i] = bag
             continue
@@ -626,6 +644,8 @@ def multi_split_test(
     x_full = design_matrix(dataset, mta)
     plan = _plan(config, dataset)
     per_stack = max(1, _STACK_ROWS // plan[0])
+    # stacks of even size: a short last stack would pay a whole stack's overhead
+    per_stack = -(-config.splits // -(-config.splits // per_stack))
     outcomes = []
     for lo in range(0, config.splits, per_stack):
         rngs = [rng.child(("split", i)) for i in range(lo, min(lo + per_stack, config.splits))]

@@ -28,7 +28,9 @@ candidate) triple. The layout keeps one such array per column and never one
 (columns x rows) array per node: at 18,000 rows those per-node arrays are
 large fresh allocations whose page faults cost more than the calls they
 save. Membership cuts are scored node by node, from labels coded once per
-test (``_code_labels``).
+test (``_code_labels``). The held-out rows of every split of a stack are
+assigned to their groups in one pass (``_assign_stack``; ``assign_groups``
+is its one-split case).
 
 Each group's term of the grouped chi-squared value, (residual sum)^2 /
 (variance sum), comes from one kernel, ``_group_contributions``, which
@@ -109,7 +111,7 @@ class AxisRule:
 
     def __post_init__(self):
         if self.op in ("le", "gt"):
-            if self.threshold is None or not np.isfinite(self.threshold):
+            if self.threshold is None or not math.isfinite(self.threshold):
                 raise ValueError("threshold rules need a finite threshold")
         elif self.op in ("in", "not-in"):
             if not self.labels:
@@ -142,13 +144,6 @@ class Group:
 
     rules: tuple
     train_count: int
-
-    def matches(self, columns: dict) -> np.ndarray:
-        n = len(next(iter(columns.values())))
-        mask = np.ones(n, dtype=bool)
-        for rule in self.rules:
-            mask &= rule.matches(columns)
-        return mask
 
     def to_json(self) -> dict:
         return {"rules": [r.to_json() for r in self.rules], "train_count": self.train_count}
@@ -504,7 +499,7 @@ def greedy_partition(
     y = np.asarray(y, dtype=float)
     [part] = _greedy_stack(config, columns, order, _tie_ranks(columns, order),
                            _code_labels(columns, config.discrete), np.arange(y.size)[None],
-                           y[None], np.asarray(phat, dtype=float)[None])
+                           y, np.asarray(phat, dtype=float)[None])
     if isinstance(part, Exception):
         raise part
     return part
@@ -532,14 +527,17 @@ def _root_lanes(order: dict, ordered: list, rows: np.ndarray, discrete: bool) ->
 
 
 def _greedy_stack(config: PartitionConfig, columns: dict, order: dict, ties: dict,
-                  coded: dict, rows: np.ndarray, y: np.ndarray, phat: np.ndarray) -> list:
+                  coded: dict, rows: np.ndarray, y: np.ndarray, phat) -> list:
     """The search of ``greedy_partition`` on every split of a stack, in lockstep.
 
-    ``columns`` holds the columns of all rows, and ``order``, ``ties`` and
-    ``coded`` are what ``presort``, ``_tie_ranks`` and ``_code_labels`` give
-    for them. ``rows`` lists each split's training rows of the columns, in
-    ascending order (s x n), and ``y`` and ``phat`` their responses and
-    probabilities (s x n).
+    ``columns`` and ``y`` hold the columns and responses of all rows, and
+    ``order``, ``ties`` and ``coded`` are what ``presort``, ``_tie_ranks``
+    and ``_code_labels`` give for them. ``rows`` lists each split's training
+    rows, in ascending order (s x n), and ``phat`` their probabilities (s x n,
+    or one array per split). The stack holds its responses and probabilities
+    only as the running-sum lanes of ``rv``, and its tie keys as 32-bit
+    integers where they fit: these, the node lanes and the rows are the
+    search's largest arrays.
 
     Row r of split i is flat row i * n + r. A node's lanes are its flat rows
     in the ascending order of each continuous column and, when there are
@@ -564,8 +562,9 @@ def _greedy_stack(config: PartitionConfig, columns: dict, order: dict, ties: dic
     for i in np.flatnonzero(((p <= 0.0) | (p >= 1.0)).any(axis=1)):
         results[i] = ValueError("fitted probabilities must lie strictly in (0, 1)")
     rv = np.zeros(s * n + 1, dtype=complex)  # flat row s * n pads
-    rv.real[:-1] = (np.asarray(y, dtype=float) - p).ravel()
-    rv.imag[:-1] = (p * (1.0 - p)).ravel()
+    np.subtract(np.asarray(y, dtype=float).take(rows), p, out=rv.real[:-1].reshape(s, n))
+    np.multiply(p, 1.0 - p, out=rv.imag[:-1].reshape(s, n))
+    del p
     resid, var = rv.real, rv.imag
     n_min = config.n_min
     ordered = sorted(config.continuous)
@@ -574,9 +573,10 @@ def _greedy_stack(config: PartitionConfig, columns: dict, order: dict, ties: dic
     cols = [np.asarray(columns[name], dtype=float) for name in ordered]
     roots = _root_lanes(order, ordered, rows, bool(discrete))
     keys = []
+    kind = np.int32 if cols and cols[0].size * s < 2**31 else np.intp
     for name in ordered:
-        key = ties[name].take(rows)
-        key += cols[0].size * np.arange(s)[:, None]  # keys ascend across splits too
+        key = ties[name].take(rows).astype(kind)
+        key += cols[0].size * np.arange(s, dtype=kind)[:, None]  # keys ascend across splits too
         keys.append(key.ravel())
     codes = {name: (labels, c.take(rows).ravel()) for name, (labels, c) in coded.items()}
 
@@ -683,23 +683,77 @@ def _greedy_stack(config: PartitionConfig, columns: dict, order: dict, ties: dic
     return results
 
 
+def _assign_stack(parts: list, values: dict) -> list:
+    """``assign_groups`` for every split of a stack, in one pass.
+
+    ``parts`` holds each split's ``Partition`` and ``values`` maps every
+    source its rules name to the splits' values of the rows to assign
+    (s x m): their columns, or their probabilities or scores.
+
+    Each rule fills one row of a (rule place x group x split x row) mask of
+    ones, so that one reduction over its first axis joins the rules of every
+    group. A group with fewer rules keeps rows of ones, and a group a split
+    lacks starts with a row of zeros. The threshold rules of one source are
+    compared in one operation: v <= t is v < nextafter(t, inf) and v > t is
+    -v < -t, both exact for a finite t, with a NaN in neither, so one gather
+    from the values and their negations and one comparison serve both. A
+    membership rule is evaluated by ``AxisRule.matches`` on its split's
+    values, so a label never seen in training falls to "not in". (A
+    ``logical_and.reduceat`` over rule rows makes one inner-loop call per
+    group and row: 0.31 ms for the 412 rules of a stack of 34 setting-3
+    splits, against 5 us for the reduction over the padded axis.)
+
+    Returns one entry per split: its group index per row (0-based), or the
+    ``CoverageError`` ``assign_groups`` raises for that split alone.
+
+    Raises:
+        MissingColumnError: if a rule's source is not in ``values``.
+    """
+    s, m = np.shape(next(iter(values.values())))
+    sizes = np.array([part.size for part in parts])
+    width = int(sizes.max())
+    depth = max([len(g.rules) for part in parts for g in part.groups] + [1])
+    masks = np.ones((depth, width, s, m), dtype=bool)
+    masks[0, np.arange(width)[:, None] >= sizes] = False  # the groups a split lacks
+    flat = masks.reshape(-1, m)  # rule r of group g of split i is row (r * width + g) * s + i
+    cuts = {}  # source -> (mask row, split, is "gt", threshold) of each of its threshold rules
+    for i, part in enumerate(parts):
+        for g, group in enumerate(part.groups):
+            for r, rule in enumerate(group.rules):
+                if rule.source not in values:
+                    raise MissingColumnError(rule.source)
+                if rule.op in ("le", "gt"):
+                    cuts.setdefault(rule.source, []).append(
+                        ((r * width + g) * s + i, i, rule.op == "gt", rule.threshold))
+                else:
+                    flat[(r * width + g) * s + i] = rule.matches({rule.source: values[rule.source][i]})
+    for source, found in cuts.items():
+        rows, splits, gt, t = map(np.array, zip(*found))
+        vals = np.asarray(values[source], dtype=float)
+        signed = np.concatenate([vals, -vals])  # row s + i negates split i
+        flat[rows] = signed[splits + s * gt] < np.where(gt, -t, np.nextafter(t, np.inf))[:, None]
+    member = np.logical_and.reduce(masks, axis=0)  # group x split x row
+    hits = np.add.reduce(member, axis=0, dtype=np.intp)
+    idx = (member * np.arange(width)[:, None, None]).sum(axis=0)  # the one group, where hits are 1
+    out = list(idx)
+    for i in np.flatnonzero((hits != 1).any(axis=1)).tolist():
+        bad = int(np.flatnonzero(hits[i] != 1)[0])
+        out[i] = CoverageError(f"row {bad} matched {int(hits[i, bad])} groups instead of 1")
+    return out
+
+
 def assign_groups(partition: Partition, columns: dict) -> np.ndarray:
     """Map each row to the index of the group containing it (0-based).
+
+    The one-split case of ``_assign_stack``.
 
     Raises:
         MissingColumnError: if a referenced column is absent.
         CoverageError: if any row matches zero or several groups.
     """
-    n = len(next(iter(columns.values())))
-    hits = np.zeros(n, dtype=int)
-    idx = np.full(n, -1, dtype=int)
-    for gi, group in enumerate(partition.groups):
-        mask = group.matches(columns)
-        hits += mask
-        idx[mask & (idx < 0)] = gi
-    if np.any(hits != 1):
-        bad = int(np.flatnonzero(hits != 1)[0])
-        raise CoverageError(f"row {bad} matched {int(hits[bad])} groups instead of 1")
+    [idx] = _assign_stack([partition], {s: np.asarray(c)[None] for s, c in columns.items()})
+    if isinstance(idx, Exception):
+        raise idx
     return idx
 
 

@@ -32,7 +32,7 @@ from adaptgof.gof import (
 )
 from adaptgof.numkit import empirical_quantiles
 from adaptgof.data import Dataset
-from adaptgof.formula import parse_formula
+from adaptgof.formula import design_matrix, parse_formula
 from adaptgof.partition import AxisRule, CoverageError, Group, Partition
 from adaptgof.sim import generate, make_setting
 
@@ -412,15 +412,20 @@ class TestMultiSplit:
     def test_split_dependent_errors_count_as_failed_splits(self, monkeypatch, error):
         spec = make_setting("1", 200, beta3=0.651)
         ds = generate(spec, RandomSource(10).child("data"))
+        assign_stack = gof._assign_stack
 
-        def raise_error(*args, **kwargs):
-            raise error("raised by the layer")
+        def fail_the_second_split(parts, values):
+            # the stacked pass hands back one split's failure in that split's place
+            out = assign_stack(parts, values)
+            out[1] = error("raised by the layer")
+            return out
 
-        monkeypatch.setattr(gof, "assign_groups", raise_error)
+        monkeypatch.setattr(gof, "_assign_stack", fail_the_second_split)
         report = multi_split_test(ds, spec.model_b, TestConfig(splits=3),
                                   RandomSource(10).child("m"))
-        assert report.n_failed == 3
-        assert all(o.error == f"{error.__name__}: raised by the layer" for o in report.outcomes)
+        assert report.n_failed == 1
+        assert [o.failed for o in report.outcomes] == [False, True, False]
+        assert report.outcomes[1].error == f"{error.__name__}: raised by the layer"
 
     def test_nonconverged_splits_are_left_out(self, monkeypatch):
         spec = make_setting("1", 500, beta3=0.651)
@@ -457,9 +462,14 @@ class TestMultiSplit:
             n: (total[n], max_group[n]) for n in total | max_group
         }
 
-    @pytest.mark.parametrize(
-        "failure", ["RankDeficiencyError", "SingleClassError", "InfeasiblePartitionError"])
-    def test_reports_do_not_depend_on_the_stack_size(self, monkeypatch, failure):
+    @pytest.mark.parametrize("failure, mode", [
+        pytest.param("RankDeficiencyError", "mta-prob", id="RankDeficiencyError"),
+        pytest.param("SingleClassError", "mta-prob", id="SingleClassError"),
+        pytest.param("InfeasiblePartitionError", "covariates", id="InfeasiblePartitionError"),
+        pytest.param("RankDeficiencyError", "covariates", id="RankDeficiencyError-covariates"),
+        pytest.param("SingleClassError", "score", id="SingleClassError-score"),
+    ])
+    def test_reports_do_not_depend_on_the_stack_size(self, monkeypatch, failure, mode):
         # x2 is nonzero on two rows only, or y holds two positives: a split
         # that holds both rows out of training fails its fit alone. For the
         # covariate search, c is 0 and d is "u" on 48 rows, so a split with
@@ -469,9 +479,11 @@ class TestMultiSplit:
         n = 60
         x1, x2 = rng.normal(size=n), rng.normal(size=n)
         y = (rng.random(n) < 1.0 / (1.0 + np.exp(-x1))).astype(int)
-        columns = {"x1": x1, "x2": x2}
-        kinds = {"x1": "continuous", "x2": "continuous"}
-        cfg = TestConfig(k=3, train_size=40, splits=40, partition_by="mta-prob")
+        columns = {"x1": x1, "x2": x2, "s": rng.uniform(size=n)}
+        kinds = {"x1": "continuous", "x2": "continuous", "s": "continuous"}
+        cfg = TestConfig(k=3, train_size=40, splits=40, partition_by=mode,
+                         score_column="s" if mode == "score" else None,
+                         continuous=("x1", "x2") if mode == "covariates" else None)
         if failure == "RankDeficiencyError":
             x2 = np.zeros(n)
             x2[:2] = (1.0, 2.0)
@@ -489,13 +501,27 @@ class TestMultiSplit:
             cfg = TestConfig(k=3, n_min=8, train_size=40, splits=40,
                              continuous=("c",), discrete=("d",))
         ds = Dataset(y=y, columns=columns, kinds=kinds)
+        fit_splits = gof._fit_splits
+        stacks = []
+
+        def record_stack(dataset, x_full, n_train, rngs):
+            stacks.append(len(rngs))
+            return fit_splits(dataset, x_full, n_train, rngs)
+
+        monkeypatch.setattr(gof, "_fit_splits", record_stack)
         reports = []
-        for rows in (1, 40 * 40):  # one split per stack, then all 40 in one
+        # one split per stack; budgets of 7 splits (stacks of 7, 7, 7, 7, 7
+        # and 5) and of 15 (evened from 15, 15 and 10 to 14, 14 and 12); then
+        # all 40 in one
+        budgets = ((1, [1] * 40), (7 * 40, [7] * 5 + [5]), (15 * 40, [14, 14, 12]), (40 * 40, [40]))
+        for rows, sizes in budgets:
             monkeypatch.setattr(gof, "_STACK_ROWS", rows)
+            stacks.clear()
             report = multi_split_test(ds, parse_formula("x1 + x2"), cfg,
                                       RandomSource(5).child("m"))
+            assert stacks == sizes
             reports.append(json.dumps(report_to_dict(report)))
-        assert reports[0] == reports[1]
+        assert all(r == reports[0] for r in reports)
         errors = [o.error for o in report.outcomes if o.failed]
         assert errors and all(e.startswith(failure + ": ") for e in errors)
         assert len(errors) < cfg.splits
@@ -511,9 +537,21 @@ class TestMultiSplit:
         def broken(*args, **kwargs):
             raise TypeError("a bug, not a split failure")
 
-        monkeypatch.setattr(gof, "assign_groups", broken)
+        monkeypatch.setattr(gof, "_assign_stack", broken)
         with pytest.raises(TypeError, match="a bug"):
             multi_split_test(ds, spec.model_b, TestConfig(splits=3), RandomSource(10).child("m"))
+
+    def test_split_rows_are_the_sorted_halves_of_each_permutation(self):
+        spec = make_setting("1", 200, beta3=0.651)
+        ds = generate(spec, RandomSource(12).child("data"))
+        rng = RandomSource(12).child("m")
+        rngs = [rng.child(("split", i)) for i in range(7)]
+        train, test, fits = gof._fit_splits(ds, design_matrix(ds, spec.model_b), 150, rngs)
+        assert train.shape == (7, 150) and test.shape == (7, 50) and len(fits) == 7
+        for i in range(7):
+            perm = rng.child(("split", i)).permutation(ds.n)
+            assert np.array_equal(train[i], np.sort(perm[:150]))
+            assert np.array_equal(test[i], np.sort(perm[150:]))
 
     def test_unsatisfiable_sizes_raise_before_any_split(self):
         spec = make_setting("1", 200, beta3=0.651)

@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -29,6 +31,7 @@ from adaptgof.formula import design_matrix
 from adaptgof.glm import DesignMatrix
 from adaptgof.gof import TestConfig, default_train_size, single_split_test
 from adaptgof.partition import (
+    _assign_stack,
     _best_discrete_cut,
     _code_labels,
     _greedy_stack,
@@ -471,7 +474,7 @@ def _stack_inputs(draw):
         cols["c0d"] = np.array([f"L{c}" for c in rng.integers(0, m, total)])
         discrete = ("c0d",)
     rows = np.sort(np.stack([rng.permutation(total)[:n] for _ in range(s)]), axis=1)
-    y = rng.integers(0, 2, size=total)[rows]
+    y = rng.integers(0, 2, size=total)  # the responses of all rows
     phat = rng.uniform(0.05, 0.95, size=(s, n))
     n_min = max(1, draw(st.sampled_from([1, n // 4, n // 2, n // 2 + 1])))
     cfg = PartitionConfig(k=draw(st.integers(2, 8)), n_min=n_min,
@@ -496,8 +499,8 @@ class TestLockstepSearch:
                                 _code_labels(cols, cfg.discrete), rows, y, phat)
         for i, got in enumerate(stacked):
             alone = {c: v[rows[i]] for c, v in cols.items()}
-            expected = _search_alone(greedy_partition_oracle, cfg, alone, y[i], phat[i])
-            assert _search_alone(greedy_partition, cfg, alone, y[i], phat[i]) == expected
+            expected = _search_alone(greedy_partition_oracle, cfg, alone, y[rows[i]], phat[i])
+            assert _search_alone(greedy_partition, cfg, alone, y[rows[i]], phat[i]) == expected
             assert (type(got) if isinstance(got, Exception) else got) == expected
 
 
@@ -539,6 +542,23 @@ class TestGroupedChi2Properties:
         # only an absolute agreement; every other case agrees to rel 1e-12
         assert grouped_chi2(1.0 - y, 1.0 - p, g)[0] == pytest.approx(
             grouped_chi2(y, p, g)[0], rel=1e-12, abs=1e-12)
+
+
+class TestAxisRule:
+    @pytest.mark.parametrize("op", ["le", "gt"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("inf"), np.nan])
+    def test_non_finite_threshold_is_a_value_error(self, op, bad):
+        with pytest.raises(ValueError, match="finite threshold"):
+            AxisRule("x", op, threshold=bad)
+
+    @pytest.mark.parametrize("bad", ["1.0", b"1", object()])
+    def test_non_number_threshold_is_a_type_error(self, bad):
+        with pytest.raises(TypeError):
+            AxisRule("x", "le", threshold=bad)
+
+    def test_missing_threshold_is_a_value_error(self):
+        with pytest.raises(ValueError, match="finite threshold"):
+            AxisRule("x", "gt")
 
 
 class TestAssignGroups:
@@ -625,6 +645,73 @@ class TestAssignGroups:
         ))
         with pytest.raises(CoverageError):
             assign_groups(bad, {"x": np.array([1.0])})
+
+
+class TestAssignStack:
+    def test_equals_one_assign_groups_per_split(self):
+        rng = RandomSource(86)
+        n, s, m = 300, 7, 80
+        labels = np.asarray(list("ABCD"))
+        cols = {
+            "u": rng.normal(0, 1, size=n),
+            "v": rng.uniform(-1, 1, size=n),
+            "d": labels[rng.bernoulli(0.5, size=n) + rng.bernoulli(0.5, size=n)],  # no "D"
+        }
+        y = rng.bernoulli(np.where(cols["d"] == "B", 0.8, 0.3), size=n)
+        cfg = PartitionConfig(k=5, n_min=20, continuous=("u", "v"), discrete=("d",))
+        parts = []
+        for i in range(s - 1):
+            rows = rng.child(("rows", i)).permutation(n)[:200]
+            parts.append(greedy_partition(cfg, {c: col[rows] for c, col in cols.items()},
+                                          y[rows], np.full(200, 0.5)))
+        # a split whose groups leave -0.5 < u <= 0.5 uncovered, among good splits
+        parts.insert(3, Partition(groups=(
+            Group(rules=(AxisRule("u", "le", threshold=-0.5),), train_count=1),
+            Group(rules=(AxisRule("u", "gt", threshold=0.5), AxisRule("d", "not-in", labels=("A",))),
+                  train_count=1),
+            Group(rules=(AxisRule("u", "gt", threshold=0.5), AxisRule("d", "in", labels=("A",))),
+                  train_count=1),
+        )))
+        values = {
+            "u": rng.normal(0, 1, size=(s, m)),
+            "v": rng.uniform(-1.5, 1.5, size=(s, m)),
+            "d": labels[rng.bernoulli(0.5, size=(s, m)) * 3],  # "D" never seen in training
+        }
+        for i, part in enumerate(parts):  # values on a threshold itself go to its "le" side
+            for c in ("u", "v"):
+                on = [r.threshold for g in part.groups for r in g.rules if r.source == c]
+                values[c][i, m - len(on):] = on
+        rules = [r for part in parts for g in part.groups for r in g.rules]
+        assert {r.op for r in rules} == {"le", "gt", "in", "not-in"}
+
+        def oracle(part, i):
+            def holds(rule, row):
+                val = values[rule.source][i, row]
+                return {"le": lambda: float(val) <= rule.threshold,
+                        "gt": lambda: float(val) > rule.threshold,
+                        "in": lambda: val in rule.labels,
+                        "not-in": lambda: val not in rule.labels}[rule.op]()
+            hits = [[g for g, group in enumerate(part.groups)
+                     if all(holds(r, row) for r in group.rules)] for row in range(m)]
+            bad = [row for row, h in enumerate(hits) if len(h) != 1]
+            if bad:
+                return f"row {bad[0]} matched {len(hits[bad[0]])} groups instead of 1"
+            return [h[0] for h in hits]
+
+        got = _assign_stack(parts, values)
+        assert len(got) == s
+        failed = 0
+        for i, (part, out) in enumerate(zip(parts, got)):
+            want = oracle(part, i)
+            try:
+                alone = assign_groups(part, {c: v[i] for c, v in values.items()})
+            except CoverageError as exc:
+                assert isinstance(out, CoverageError) and str(out) == str(exc) == want
+                failed += 1
+                continue
+            assert alone.tolist() == want
+            assert np.array_equal(out, alone) and out.dtype == alone.dtype
+        assert failed == 1 and isinstance(got[3], CoverageError)
 
 
 class TestProbabilityPartition:
