@@ -36,8 +36,8 @@ rather than once per split. ``fit_logistic`` is its one-split case. Every
 product is one per split in the stack's shape and every stop is per split, so
 a split's fit does not depend on what else is in its stack. A split leaves the
 stack when it converges, stops or fails, and only then are the remaining
-splits' rows gathered, in place when the caller hands its design over
-(``gof`` does); a one-split stack copies no rows while it iterates.
+splits' rows moved forward, in place; a one-split stack copies no rows while
+it iterates.
 """
 
 from __future__ import annotations
@@ -67,8 +67,6 @@ _LL_RTOL = 16 * np.finfo(float).eps
 _PIVOT_RTOL = 1e-12
 # Rows per block of X'WX (see _weighted_gram); 64 KB of scratch at p = 8.
 _GRAM_BLOCK = 1024
-# Rows of a stack scaled per pass of X'WX; 256 KB of scratch at p = 8.
-_GRAM_SCRATCH = 4 * _GRAM_BLOCK
 
 
 class SingleClassError(ValueError):
@@ -177,23 +175,17 @@ def _weighted_gram(xt: np.ndarray, prob: np.ndarray) -> np.ndarray:
     one small scratch array. A whole p x n scratch array (1.15 MB at
     18,000 x 8) is fresh memory in every call, which malloc hands back to the
     system between splits: the 100 fits of a 20k-row mta-prob test paid about
-    53k page faults for it. A stack of short splits is scaled a few splits
-    at a time, up to ``_GRAM_SCRATCH`` rows per pass, so that the scratch
-    does not double the stack's design (34 splits of 425 rows: 4 passes,
-    +20 us per call). Each split's blocks and sums are the same in any pass.
+    53k page faults for it.
     """
     w = prob * (1.0 - prob)
     s, p, n = xt.shape
-    cols = min(n, _GRAM_BLOCK)
-    chunk = max(1, _GRAM_SCRATCH // cols)  # splits per pass
-    work = np.empty((min(s, chunk), p, cols))
+    work = np.empty((s, p, min(n, _GRAM_BLOCK)))
     gram = np.zeros((s, p, p))
-    for a in range(0, s, chunk):
-        for lo in range(0, n, _GRAM_BLOCK):
-            block = xt[a:a + chunk, :, lo:lo + _GRAM_BLOCK]
-            scaled = np.multiply(block, w[a:a + chunk, None, lo:lo + _GRAM_BLOCK],
-                                 out=work[:block.shape[0], :, :block.shape[2]])
-            gram[a:a + chunk] += scaled @ block.transpose(0, 2, 1)
+    for lo in range(0, n, _GRAM_BLOCK):
+        block = xt[:, :, lo:lo + _GRAM_BLOCK]
+        scaled = np.multiply(block, w[:, None, lo:lo + _GRAM_BLOCK],
+                             out=work[:, :, :block.shape[2]])
+        gram += scaled @ block.transpose(0, 2, 1)
     return gram
 
 
@@ -291,7 +283,7 @@ def _halving_step(xt: np.ndarray, flip: np.ndarray, beta: np.ndarray, prob: np.n
     return (*(out or (beta, prob, ll)), moved)
 
 
-def _fit_stack(xt: np.ndarray, y, names: tuple, overwrite_xt: bool = False) -> list:
+def _fit_stack(xt: np.ndarray, y, names: tuple) -> list:
     """Fit one logistic regression per split of a stack by IRLS, in lockstep.
 
     ``xt`` holds the splits' transposed designs (s x p x n; copied once unless
@@ -299,11 +291,11 @@ def _fit_stack(xt: np.ndarray, y, names: tuple, overwrite_xt: bool = False) -> l
     responses (s x n). All splits take their Newton steps together, each with
     its own step-halving, gradient stop, no-move stop and iteration count; a
     split leaves the stack when it converges, stops or fails, and only then
-    are the stack's rows gathered again: in place, moving each remaining
-    split's block forward, when ``overwrite_xt`` allows it to destroy ``xt``,
-    and into a fresh array otherwise. Every product is one per split of the
-    stack's shape, so a split's fit is bit for bit the same whatever else is
-    in its stack.
+    are the stack's rows gathered again, in place: each remaining split's
+    block moves forward in ``xt``, so the fit may overwrite ``xt``; it never
+    does for a one-split stack, whose split stays or leaves. Every product is
+    one per split of the stack's shape, so a split's fit is bit for bit the
+    same whatever else is in its stack.
 
     Returns one entry per split: its ``FittedGlm``, or the exception
     ``fit_logistic`` raises for that split alone (``SingleClassError``,
@@ -329,9 +321,7 @@ def _fit_stack(xt: np.ndarray, y, names: tuple, overwrite_xt: bool = False) -> l
         return results
 
     def compact(keep):
-        """The design blocks of the splits ``keep`` marks, in order."""
-        if not overwrite_xt:
-            return xt[keep]
+        """The design blocks of the splits ``keep`` marks, in order, moved forward in ``xt``."""
         kept = np.flatnonzero(keep).tolist()
         for to, at in enumerate(kept):
             if to != at:
@@ -423,7 +413,8 @@ def fit_logistic(x: DesignMatrix, y) -> FittedGlm:
         RankDeficiencyError: if the weighted normal equations are singular.
     """
     yv = np.asarray(y, dtype=float).ravel()
-    # p x n, row-contiguous; a view when x.values is column-major
+    # p x n, row-contiguous; a view when x.values is column-major, which the
+    # one-split stack never writes to
     xt = np.asfortranarray(x.values).T
     [fit] = _fit_stack(xt[None], yv[None], x.names)
     if isinstance(fit, Exception):

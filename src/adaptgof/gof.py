@@ -15,11 +15,11 @@ Four layers, bottom to top:
   K degrees of freedom.
 * ``multi_split_test``: s independent splits on child random streams, decided
   by comparing the median p-value to the alpha-quantile of N(0.5, 1/(12 s)).
-  It works in stacks of at most ``max(1, _STACK_ROWS // n_train)`` splits,
-  evened out so that no short last stack pays a whole stack's overhead: the
-  rows of a stack's splits are drawn from their own streams, the stack is
-  fitted by one lockstep IRLS loop (``glm._fit_stack``) and scored by
-  ``_score_stack``: one lockstep partition search
+  It works in stacks of at most ``max(1, _STACK_ROWS // max(n_train, n_test))``
+  splits, evened out so that no short last stack pays a whole stack's
+  overhead: the rows of a stack's splits are drawn from their own streams,
+  the stack is fitted by one lockstep IRLS loop (``glm._fit_stack``) and
+  scored by ``_score_stack``: one lockstep partition search
   (``partition._greedy_stack``) and one pass each for the test-row
   prediction, the group assignment (``partition._assign_stack``), the
   statistic (``_bag_values``), its gradient (``_gradients``), the
@@ -413,18 +413,21 @@ def _gather_rows(x: DesignMatrix, rows) -> np.ndarray:
     return out
 
 
-# Training rows per stack of splits. A stack is fitted by one lockstep IRLS
-# loop and scored by one lockstep search, one group assignment and one pass per
-# statistic layer, so their per-call overhead is paid once per stack. Measured
-# on one experiment replication of setting 3 at n = 500 (425 training rows,
-# 100 splits per test; benchmark reference seconds, one CPU, medians of 4
-# alternated 20 s runs): 0.147 s in stacks of 19 (8,192 rows), 0.119 s in
-# stacks of 25 (12,288), 0.114 s in stacks of 34 (16,384) and 0.115 s in two
-# of 50 (24,576), at a peak memory of 69.4, 69.7, 70.7 and 72.7 MB. 12,288 is
-# the largest of these within 1 MB of stacks of 19. Splits of 18,000
-# training rows stay one per stack below 36,000: two per stack made a test on
-# 20,000 rows with the covariate search 8.8% slower. A constant, not an
-# option: it only routes work, and no result depends on it.
+# Rows per stack of splits, counted by the larger of a split's training and
+# test halves (the training half, unless a split trains on fewer than half the
+# rows). A stack is fitted by one lockstep IRLS loop and scored by one
+# lockstep search, one group assignment and one pass per statistic layer, so
+# their per-call overhead is paid once per stack. Measured on one experiment
+# replication of setting 3 at n = 500 (425 training rows, 100 splits per test;
+# benchmark reference seconds, one CPU, medians of 4 alternated 20 s runs):
+# 0.147 s in stacks of 19 (8,192 rows), 0.119 s in stacks of 25 (12,288),
+# 0.114 s in stacks of 34 (16,384) and 0.115 s in two of 50 (24,576), at a
+# peak memory of 69.4, 69.7, 70.7 and 72.7 MB; 8 later alternated 30 s runs
+# put 12,288 at 70.1 MB against 69.4 MB for 8,192. 12,288 is the largest of
+# these within 1 MB of stacks of 19. Splits of 18,000 training rows stay one
+# per stack below 36,000: two per stack made a test on 20,000 rows with the
+# covariate search 8.8% slower. A constant, not an option: it only routes
+# work, and no result depends on it.
 _STACK_ROWS = 12288
 
 
@@ -443,10 +446,10 @@ def _fit_splits(dataset: Dataset, x_full: DesignMatrix, n_train: int, rngs) -> t
     first = n * np.arange(s)[:, None]  # each split's first place in the flat mask
     train = np.flatnonzero(member).reshape(s, n_train) - first
     test = np.flatnonzero(~member).reshape(s, n - n_train) - first
-    # the stack's gathered design is its own to overwrite; a float response
+    # the fit may overwrite the stack's gathered design; a float response
     # leaves no integer copy alive during the fit
     return train, test, _fit_stack(_gather_rows(x_full, train), dataset.y.astype(float)[train],
-                                   x_full.names, overwrite_xt=True)
+                                   x_full.names)
 
 
 def _score_stack(dataset: Dataset, x_full: DesignMatrix, config: TestConfig, plan: tuple,
@@ -643,7 +646,9 @@ def multi_split_test(
     """
     x_full = design_matrix(dataset, mta)
     plan = _plan(config, dataset)
-    per_stack = max(1, _STACK_ROWS // plan[0])
+    # the larger half of a split sizes the stack: with a small training set on
+    # a large file, the test rows are what a stack holds most of
+    per_stack = max(1, _STACK_ROWS // max(plan[0], dataset.n - plan[0]))
     # stacks of even size: a short last stack would pay a whole stack's overhead
     per_stack = -(-config.splits // -(-config.splits // per_stack))
     outcomes = []

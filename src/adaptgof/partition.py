@@ -734,8 +734,7 @@ def _assign_stack(parts: list, values: dict) -> list:
         flat[rows] = signed[splits + s * gt] < np.where(gt, -t, np.nextafter(t, np.inf))[:, None]
     member = np.logical_and.reduce(masks, axis=0)  # group x split x row
     hits = np.add.reduce(member, axis=0, dtype=np.intp)
-    idx = (member * np.arange(width)[:, None, None]).sum(axis=0)  # the one group, where hits are 1
-    out = list(idx)
+    out = list(member.argmax(axis=0))  # the one group, where hits are 1
     for i in np.flatnonzero((hits != 1).any(axis=1)).tolist():
         bad = int(np.flatnonzero(hits[i] != 1)[0])
         out[i] = CoverageError(f"row {bad} matched {int(hits[i, bad])} groups instead of 1")

@@ -530,6 +530,24 @@ class TestMultiSplit:
                      for g in o.partition.groups for r in g.rules}
             assert rules == {"c", "d"}
 
+    def test_the_larger_half_of_a_split_sizes_its_stack(self, monkeypatch):
+        # 60 training and 140 test rows: a budget of 7 x 140 rows holds 7
+        # splits (stacks of 7, 7, 7, 7, 7 and 5), not 16 of 60 training rows
+        spec = make_setting("1", 200, beta3=0.651)
+        ds = generate(spec, RandomSource(10).child("data"))
+        fit_splits = gof._fit_splits
+        stacks = []
+
+        def record_stack(dataset, x_full, n_train, rngs):
+            stacks.append(len(rngs))
+            return fit_splits(dataset, x_full, n_train, rngs)
+
+        monkeypatch.setattr(gof, "_fit_splits", record_stack)
+        monkeypatch.setattr(gof, "_STACK_ROWS", 7 * 140 + 139)
+        multi_split_test(ds, spec.model_b, TestConfig(train_size=60, splits=40),
+                         RandomSource(10).child("m"))
+        assert stacks == [7] * 5 + [5]
+
     def test_programming_errors_propagate(self, monkeypatch):
         spec = make_setting("1", 200, beta3=0.651)
         ds = generate(spec, RandomSource(10).child("data"))
