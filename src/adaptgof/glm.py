@@ -288,34 +288,25 @@ def _fit_stack(xt: np.ndarray, y, names: tuple) -> list:
 
     ``xt`` holds the splits' transposed designs (s x p x n; copied once unless
     C-contiguous, so that each p x n block is row-contiguous) and ``y`` their
-    responses (s x n). All splits take their Newton steps together, each with
-    its own step-halving, gradient stop, no-move stop and iteration count; a
-    split leaves the stack when it converges, stops or fails, and only then
-    are the stack's rows gathered again, in place: each remaining split's
-    block moves forward in ``xt``, so the fit may overwrite ``xt``; it never
-    does for a one-split stack, whose split stays or leaves. Every product is
-    one per split of the stack's shape, so a split's fit is bit for bit the
-    same whatever else is in its stack.
+    responses (s x n) of 0s and 1s, with n >= p: the callers check those
+    once, for every split. All splits take their Newton steps together, each
+    with its own step-halving, gradient stop, no-move stop and iteration
+    count; a split leaves the stack when it converges, stops or fails, and
+    only then are the stack's rows gathered again, in place: each remaining
+    split's block moves forward in ``xt``, so the fit may overwrite ``xt``;
+    it never does for a one-split stack, whose split stays or leaves. Every
+    product is one per split of the stack's shape, so a split's fit is bit
+    for bit the same whatever else is in its stack.
 
-    Returns one entry per split: its ``FittedGlm``, or the exception
-    ``fit_logistic`` raises for that split alone (``SingleClassError``,
-    ``RankDeficiencyError`` or ``ValueError``), with the same message.
+    Returns one entry per split: its ``FittedGlm``, or the split's own
+    failure, ``SingleClassError`` or ``RankDeficiencyError``, with the
+    message ``fit_logistic`` raises for it.
     """
     xt = np.ascontiguousarray(xt, dtype=float)  # a no-op for the callers in the package
-    y = np.asarray(y, dtype=float)
     s, p, n = xt.shape
-    if y.shape != (s, n):
-        raise ValueError(f"response length {y.shape[-1]} does not match {n} design rows")
     results = [None] * s
-    binary = ((y == 0.0) | (y == 1.0)).all(axis=1)
-    single = y.min(axis=1) == y.max(axis=1)
-    for j in range(s):
-        if not binary[j]:
-            results[j] = ValueError("response entries must be 0 or 1")
-        elif single[j]:
-            results[j] = SingleClassError("both response classes must be present")
-        elif n < p:
-            results[j] = ValueError(f"need at least as many rows ({n}) as columns ({p})")
+    for j in np.flatnonzero(y.min(axis=1) == y.max(axis=1)).tolist():
+        results[j] = SingleClassError("both response classes must be present")
     split = np.array([j for j, r in enumerate(results) if r is None], dtype=int)
     if split.size == 0:
         return results
@@ -409,10 +400,20 @@ def fit_logistic(x: DesignMatrix, y) -> FittedGlm:
     ``converged=False`` rather than raising.
 
     Raises:
+        ValueError: if the response length differs from the design's rows, or
+            an entry is not 0 or 1.
         SingleClassError: if the response has only zeros or only ones.
+        ValueError: if the design has fewer rows than columns.
         RankDeficiencyError: if the weighted normal equations are singular.
     """
     yv = np.asarray(y, dtype=float).ravel()
+    n, p = x.values.shape
+    if yv.size != n:
+        raise ValueError(f"response length {yv.size} does not match {n} design rows")
+    if not ((yv == 0.0) | (yv == 1.0)).all():
+        raise ValueError("response entries must be 0 or 1")
+    if n < p and yv.min() < yv.max():  # a single class is the stack's failure, and comes first
+        raise ValueError(f"need at least as many rows ({n}) as columns ({p})")
     # p x n, row-contiguous; a view when x.values is column-major, which the
     # one-split stack never writes to
     xt = np.asfortranarray(x.values).T

@@ -152,23 +152,18 @@ class BagValue:
 def _bag_values(y, prob, groups, k) -> list:
     """``bag_statistic`` of each split of a stack, from one set of group sums.
 
-    ``y``, ``prob`` and ``groups`` hold the splits' test rows (s x n) and
-    ``k`` each split's group count. Each split's statistic sums its own live
-    groups: a sum over a padded length could round differently. Returns each
-    split's ``BagValue``, or the ``ValueError`` it raises alone.
+    ``y``, ``prob`` and ``groups`` hold the splits' test rows (s x n, n >= 1)
+    and ``k`` each split's group count; every probability lies strictly
+    inside (0, 1), as the clamped predictions do. Each split's statistic sums
+    its own live groups: a sum over a padded length could round differently.
     """
-    if prob.shape[-1] == 0:
-        raise ValueError("empty test set")
-    good = np.flatnonzero(~((prob <= 0.0) | (prob >= 1.0)).any(axis=1))
-    out = [ValueError("test probabilities must lie strictly in (0, 1)") for _ in k]
-    if good.size < len(k):
-        y, prob, groups = y[good], prob[good], groups[good]
     contrib, live = _group_contributions(y, prob, groups, max(k))
-    for c, lv, top, i in zip(contrib, live, (groups.max(axis=1) + 1).tolist(), good.tolist()):
-        width = max(k[i], top)
+    out = []
+    for c, lv, top, size in zip(contrib, live, (groups.max(axis=1) + 1).tolist(), k):
+        width = max(size, top)
         c, lv = c[:width], lv[:width]
-        out[i] = BagValue(statistic=float(np.sum(c[lv])), realized_k=int(lv.sum()),
-                          contributions=tuple(c.tolist()))
+        out.append(BagValue(statistic=float(np.sum(c[lv])), realized_k=int(lv.sum()),
+                            contributions=tuple(c.tolist())))
     return out
 
 
@@ -177,12 +172,18 @@ def bag_statistic(y_test, phat_test, group_idx, k: int) -> BagValue:
 
     Empty groups contribute nothing and reduce ``realized_k`` accordingly.
     The one-split case of ``_bag_values``.
+
+    Raises:
+        ValueError: if there are no test rows, or a probability is not
+            strictly inside (0, 1).
     """
-    p = np.asarray(phat_test, dtype=float)[None]
-    [bag] = _bag_values(np.asarray(y_test, dtype=float)[None], p,
+    p = np.asarray(phat_test, dtype=float)
+    if p.size == 0:
+        raise ValueError("empty test set")
+    if ((p <= 0.0) | (p >= 1.0)).any():
+        raise ValueError("test probabilities must lie strictly in (0, 1)")
+    [bag] = _bag_values(np.asarray(y_test, dtype=float)[None], p[None],
                         np.asarray(group_idx, dtype=int)[None], [k])
-    if isinstance(bag, Exception):
-        raise bag
     return bag
 
 
@@ -367,17 +368,19 @@ def _rule_counts(groups) -> dict:
     return dict(Counter(rule.source for group in groups for rule in group.rules))
 
 
-def _plan(config: TestConfig, dataset: Dataset) -> tuple:
+def _plan(config: TestConfig, dataset: Dataset, ncol: int) -> tuple:
     """What every split of one test shares.
 
     Returns ``(n_train, partition config, order, ties, coded, scores)``.
-    Resolves the defaults and checks the sizes once, so a configuration that
-    no split can satisfy raises ``ValueError`` instead of failing every split.
-    For the covariate search it also sorts and ranks each continuous column
-    once over all rows (``order``, ``ties``) and codes each discrete column
-    once (``coded``); each split filters its training rows out of those. For
-    ``partition_by="score"`` it reads and range-checks the score column once
-    (``scores``).
+    Resolves the defaults and checks once what no split can change, so a
+    configuration or a column that would fail the splits raises
+    ``ValueError`` before the first split: sizes (among them a training set
+    smaller than the design's ``ncol`` columns) and a non-finite value in a
+    continuous search column. For the covariate search it also sorts and
+    ranks each continuous column once over all rows (``order``, ``ties``)
+    and codes each discrete column once (``coded``); each split filters its
+    training rows out of those. For ``partition_by="score"`` it reads and
+    range-checks the score column once (``scores``).
     """
     n = dataset.n
     n_min = config.n_min if config.n_min is not None else n // 10
@@ -388,6 +391,8 @@ def _plan(config: TestConfig, dataset: Dataset) -> tuple:
         raise ValueError(f"training size {n_train} is below 2 * n_min = {2 * n_min}")
     if n - n_train < config.k:
         raise ValueError(f"test size {n - n_train} is below k = {config.k}")
+    if n_train < ncol:
+        raise ValueError(f"training size {n_train} is below the model's {ncol} coefficients")
     if config.partition_by == "score":
         scores = dataset.numeric(config.score_column)
         if not np.all((scores >= 0.0) & (scores <= 1.0)):
@@ -399,6 +404,10 @@ def _plan(config: TestConfig, dataset: Dataset) -> tuple:
     disc = config.discrete if config.discrete is not None else dataset.discrete_names
     pcfg = PartitionConfig(k=config.k, n_min=n_min, continuous=cont, discrete=disc)
     order = presort(dataset.columns, pcfg.continuous)
+    for name in pcfg.continuous:
+        bad = np.flatnonzero(~np.isfinite(np.asarray(dataset.columns[name], dtype=float)))
+        if bad.size:
+            raise ValueError(f"continuous column {name!r} is not finite at row {bad[0]}")
     return (n_train, pcfg, order, _tie_ranks(dataset.columns, order),
             _code_labels(dataset.columns, pcfg.discrete), None)
 
@@ -468,9 +477,9 @@ def _score_stack(dataset: Dataset, x_full: DesignMatrix, config: TestConfig, pla
     Returns one entry per split: its ``SplitOutcome``, or the exception the
     split raises alone. Each layer hands back only the failures that depend on
     the rows a split draws: a ``ValueError`` (a single response class, rank
-    deficiency, an infeasible partition, the ``bag_statistic`` checks) or a
-    ``CoverageError``. Anything else (TypeError, IndexError, ...) is a bug and
-    propagates instead of being counted as a failed split.
+    deficiency, an infeasible partition) or a ``CoverageError``; ``_plan``
+    has ruled out the rest. Anything else (TypeError, IndexError, ...) is a
+    bug and propagates instead of being counted as a failed split.
     """
     n = dataset.n
     n_train, pcfg, order, ties, coded, scores = plan
@@ -526,28 +535,20 @@ def _score_stack(dataset: Dataset, x_full: DesignMatrix, config: TestConfig, pla
     y_test = dataset.y[test]
     groups = np.stack([g for _, g in grouped])
     bags = _bag_values(y_test, phat_test, groups, [parts[j].size for j in at])
-    # a split whose statistic failed is carried through the gradient and the
-    # solve, which cannot raise, and its results are dropped
-    corrs = _corrections(
-        [math.nan if isinstance(b, Exception) else b.statistic for b in bags],
-        np.stack([models[j].fisher_info for j in at]),
-        _gradients(coef, xt_test, y_test, groups),
-    )
-    scored = [(b, c) for b, c in zip(bags, corrs) if not isinstance(b, Exception)]
-    p_values = iter(chi2_sf(np.array([c.adjusted for _, c in scored]),
-                            np.array([b.realized_k for b, _ in scored])).tolist())
-    for j, bag, corr in zip(at, bags, corrs):
+    corrs = _corrections([b.statistic for b in bags],
+                         np.stack([models[j].fisher_info for j in at]),
+                         _gradients(coef, xt_test, y_test, groups))
+    p_values = chi2_sf(np.array([c.adjusted for c in corrs]),
+                       np.array([b.realized_k for b in bags])).tolist()
+    for j, bag, corr, p_value in zip(at, bags, corrs, p_values):
         i, part = live[j], parts[j]
-        if isinstance(bag, Exception):
-            results[i] = bag
-            continue
         max_group = int(np.argmax(bag.contributions))
         results[i] = SplitOutcome(
             statistic=bag.statistic,
             adjusted=corr.adjusted,
             se=corr.se,
             realized_k=bag.realized_k,
-            p_value=next(p_values),
+            p_value=p_value,
             partition=part,
             counts_all=_rule_counts(part.groups),
             counts_max_group=_rule_counts(part.groups[max_group:max_group + 1]),
@@ -575,7 +576,7 @@ def single_split_test(
     a failure raises instead of being recorded.
     """
     x_full = design_matrix(dataset, mta)
-    plan = _plan(config, dataset)
+    plan = _plan(config, dataset, x_full.ncol)
     [out] = _score_stack(dataset, x_full, config, plan,
                          _fit_splits(dataset, x_full, plan[0], [rng]))
     if isinstance(out, Exception):
@@ -645,7 +646,7 @@ def multi_split_test(
     inconclusive. Other exceptions propagate.
     """
     x_full = design_matrix(dataset, mta)
-    plan = _plan(config, dataset)
+    plan = _plan(config, dataset, x_full.ncol)
     # the larger half of a split sizes the stack: with a small training set on
     # a large file, the test rows are what a stack holds most of
     per_stack = max(1, _STACK_ROWS // max(plan[0], dataset.n - plan[0]))

@@ -253,6 +253,35 @@ class TestTestCommand:
         assert "test size 2 is below k = 5" in captured.err
         assert "INCONCLUSIVE" not in captured.out
 
+    def test_training_size_below_the_coefficients_is_an_error(self, tmp_path, capsys):
+        # 2 training rows cannot fit the 3 coefficients of x1 + x2 in any
+        # split, so the command fails once instead of reporting INCONCLUSIVE
+        path = setting1_csv(tmp_path, n=200)
+        code = main(["test", "--input", path, "--response", "y", "--formula", "x1 + x2",
+                     "--train-size", "2", "--n-min", "1", "--splits", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "training size 2 is below the model's 3 coefficients" in captured.err
+        assert "decision" not in captured.out
+
+    def test_most_splits_failing_alone_is_inconclusive(self, tmp_path, capsys):
+        # two positive responses in 60 rows: most training sets of 6 rows hold
+        # neither and fail their fit with one response class, a failure that
+        # depends on the split's rows, so the run reports instead of stopping
+        path = tmp_path / "two_positives.csv"
+        path.write_text("y,x1\n" + "".join(f"{int(i in (10, 40))},{i * 0.1}\n"
+                                           for i in range(60)))
+        out = tmp_path / "report.json"
+        code = main(["test", "--input", str(path), "--response", "y", "--formula", "x1",
+                     "--train-size", "6", "--n-min", "1", "--splits", "20", "--seed", "1",
+                     "--output", str(out)])
+        assert code == 0
+        assert "decision:   INCONCLUSIVE" in capsys.readouterr().out
+        decision = json.loads(out.read_text())["decision"]
+        assert decision["reject"] is None
+        assert decision["inconclusive"] is True
+        assert decision["failed_splits"] > 10
+
     @pytest.mark.parametrize("partition", ["covariates", "mta-prob", "score:s"])
     def test_k_below_two_is_an_error(self, tmp_path, capsys, partition):
         # every split would fail the same way, so the command fails once

@@ -86,6 +86,20 @@ class TestFitLogistic:
         with pytest.raises(ValueError):
             fit_logistic(intercept_only(3), [0, 1, 2])
 
+    def test_input_errors_keep_their_order_and_messages(self):
+        # length, then 0/1, then a single class, then rows below columns
+        two_rows = DesignMatrix(np.ones((2, 3)), ("a", "b", "c"))
+        for y, kind, message in [
+            ([0, 1, 2], ValueError, "response length 3 does not match 2 design rows"),
+            ([2, 2], ValueError, "response entries must be 0 or 1"),
+            ([0.5, 1], ValueError, "response entries must be 0 or 1"),
+            ([1, 1], SingleClassError, "both response classes must be present"),
+            ([0, 1], ValueError, "need at least as many rows (2) as columns (3)"),
+        ]:
+            with pytest.raises(ValueError) as raised:
+                fit_logistic(two_rows, y)
+            assert (type(raised.value), str(raised.value)) == (kind, message), y
+
     def test_rank_deficient_design(self):
         x = np.column_stack([np.ones(10), np.arange(10.0), np.arange(10.0)])
         dm = DesignMatrix(x, ("(Intercept)", "a", "a_copy"))

@@ -1,11 +1,12 @@
 import dataclasses
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -97,6 +98,16 @@ class TestHlTest:
             hl_test([0, 1], [0.4, 0.6], k=3)
 
 
+@st.composite
+def _grouped_test_rows(draw):
+    """Test rows for ``bag_statistic``: (y, p, groups, k)."""
+    n = draw(st.integers(1, 60))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    p = np.array(draw(st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n)))
+    g = np.array(draw(st.lists(st.integers(0, 7), min_size=n, max_size=n)))
+    return y, p, g, draw(st.integers(1, 10))
+
+
 class TestBagStatistic:
     def test_cancelling_residuals(self):
         out = bag_statistic([1, 0, 1, 0], [0.5] * 4, [0, 0, 0, 0], 1)
@@ -136,26 +147,30 @@ class TestBagStatistic:
         assert parts == pytest.approx(total, rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_contributions_sum_to_statistic_and_vanish_on_empty_groups(self, data):
-        n = data.draw(st.integers(1, 60))
-        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
-        p = np.array(data.draw(st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n)))
-        g = np.array(data.draw(st.lists(st.integers(0, 7), min_size=n, max_size=n)))
-        k = data.draw(st.integers(1, 10))
+    @given(_grouped_test_rows())
+    # residuals that cancel: the second group's contribution is exactly 0
+    @example((np.array([0] * 15 + [1]), np.full(16, 0.5), np.array([0] * 14 + [1, 1]), 2))
+    def test_contributions_sum_to_statistic_and_vanish_on_empty_groups(self, rows):
+        y, p, g, k = rows
         out = bag_statistic(y, p, g, k)
         contrib = np.array(out.contributions)
         present = np.bincount(g, minlength=k) > 0
         assert contrib.size == max(k, g.max() + 1)
         assert np.all(contrib[~present] == 0.0)
-        assert np.all(contrib[present] > 0.0)
+        for j in np.flatnonzero(present):
+            rows_j = g == j
+            resid = math.fsum(y[rows_j] - p[rows_j])
+            var = math.fsum(p[rows_j] * (1.0 - p[rows_j]))
+            assert contrib[j] >= 0.0
+            assert contrib[j] == pytest.approx(resid**2 / var, rel=1e-12)
         assert contrib.sum() == pytest.approx(out.statistic, rel=1e-12)
         assert out.realized_k == present.sum()
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^empty test set$"):
             bag_statistic([], [], [], 1)
-        with pytest.raises(ValueError):
+        message = "test probabilities must lie strictly in (0, 1)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             bag_statistic([1], [1.0], [0], 1)
 
 
@@ -337,6 +352,30 @@ class TestSingleSplit:
         with pytest.raises(ValueError):
             single_split_test(ds, spec.model_a, TestConfig(train_size=199, k=5),
                               RandomSource(7))
+
+    @pytest.mark.parametrize("run", [single_split_test, multi_split_test])
+    @pytest.mark.parametrize("case", ["training-below-coefficients", "nan-in-search-column"])
+    def test_split_independent_errors_raise_before_any_split(self, monkeypatch, run, case):
+        # no draw of rows can mend these, so the test fails once instead of
+        # counting failed splits
+        spec = make_setting("1", 200, beta3=0.651)
+        ds = generate(spec, RandomSource(10).child("data"))
+        if case == "training-below-coefficients":
+            config = TestConfig(train_size=2, n_min=1, splits=20)
+            message = "training size 2 is below the model's 3 coefficients"
+        else:
+            x3 = ds.columns["x3"].copy()
+            x3[:3] = np.nan  # x3 is searched but not in the model
+            ds = ds.with_column("x3", x3)
+            config = TestConfig(splits=20)
+            message = "continuous column 'x3' is not finite at row 0"
+
+        def no_split(*args):
+            raise AssertionError("a split was drawn")
+
+        monkeypatch.setattr(gof, "_fit_splits", no_split)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(ds, spec.model_b, config, RandomSource(10).child("m"))
 
     def test_default_train_sizes(self):
         assert default_train_size(200, 5) == 150

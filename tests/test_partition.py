@@ -277,6 +277,19 @@ class TestGreedyPartition:
                 {"a": np.arange(100.0)}, np.tile([0, 1], 50), np.full(100, 0.5),
             )
 
+    @pytest.mark.parametrize("edge", [0.0, 1.0])
+    def test_probabilities_on_the_edge_are_an_error(self, edge):
+        phat = np.full(100, 0.5)
+        phat[7] = edge
+        cfg = PartitionConfig(k=2, n_min=10, continuous=("a",))
+        with pytest.raises(ValueError) as raised:
+            greedy_partition(cfg, {"a": np.arange(100.0)}, np.tile([0, 1], 50), phat)
+        assert (type(raised.value), str(raised.value)) == (
+            ValueError, "fitted probabilities must lie strictly in (0, 1)")
+        # a missing source is reported first
+        with pytest.raises(MissingColumnError):
+            greedy_partition(cfg, {"b": np.arange(100.0)}, np.tile([0, 1], 50), phat)
+
     def test_constant_sources_are_infeasible(self):
         with pytest.raises(InfeasiblePartitionError):
             greedy_partition(
@@ -358,8 +371,6 @@ class TestPresortedSearchMatchesOracle:
                                           discrete=discrete)
                     expected = greedy_partition_oracle(cfg, ds.columns, ds.y, phat)
                     assert greedy_partition(cfg, ds.columns, ds.y, phat) == expected
-                    order = presort(ds.columns, cfg.continuous)
-                    assert greedy_partition(cfg, ds.columns, ds.y, phat, order=order) == expected
 
     def test_mixed_types_fixture(self):
         ds = parse_csv(str(FIXTURES / "mixed_types.csv"), "outcome")
@@ -370,8 +381,6 @@ class TestPresortedSearchMatchesOracle:
                                       discrete=ds.discrete_names)
                 expected = greedy_partition_oracle(cfg, ds.columns, ds.y, phat)
                 assert greedy_partition(cfg, ds.columns, ds.y, phat) == expected
-                order = presort(ds.columns, cfg.continuous)
-                assert greedy_partition(cfg, ds.columns, ds.y, phat, order=order) == expected
 
     @pytest.mark.parametrize("setting", ["1", "nn-example"])
     def test_split_order_derived_from_shared_presort(self, setting):
