@@ -286,10 +286,11 @@ def _halving_step(xt: np.ndarray, flip: np.ndarray, beta: np.ndarray, prob: np.n
 def _fit_stack(xt: np.ndarray, y, names: tuple) -> list:
     """Fit one logistic regression per split of a stack by IRLS, in lockstep.
 
-    ``xt`` holds the splits' transposed designs (s x p x n; copied once unless
-    C-contiguous, so that each p x n block is row-contiguous) and ``y`` their
-    responses (s x n) of 0s and 1s, with n >= p: the callers check those
-    once, for every split. All splits take their Newton steps together, each
+    ``xt`` holds the splits' transposed designs as one C-contiguous float
+    stack (s x p x n, so that each p x n block is row-contiguous: a product
+    over another layout can round differently) and ``y`` their responses
+    (s x n) of 0s and 1s, with n >= p: the callers check those once, for
+    every split. All splits take their Newton steps together, each
     with its own step-halving, gradient stop, no-move stop and iteration
     count; a split leaves the stack when it converges, stops or fails, and
     only then are the stack's rows gathered again, in place: each remaining
@@ -302,7 +303,6 @@ def _fit_stack(xt: np.ndarray, y, names: tuple) -> list:
     failure, ``SingleClassError`` or ``RankDeficiencyError``, with the
     message ``fit_logistic`` raises for it.
     """
-    xt = np.ascontiguousarray(xt, dtype=float)  # a no-op for the callers in the package
     s, p, n = xt.shape
     results = [None] * s
     for j in np.flatnonzero(y.min(axis=1) == y.max(axis=1)).tolist():

@@ -24,11 +24,12 @@ Four layers, bottom to top:
   prediction, the group assignment (``partition._assign_stack``), the
   statistic (``_bag_values``), its gradient (``_gradients``), the
   correction's solve (``_corrections``) and the p-value. Each split's groups
-  and outcome stay its own. Every layer gives a split what it would get
-  alone, so the report does not depend on the stack size;
-  ``single_split_test``, ``bag_statistic``, ``bag_gradient``,
-  ``corrected_statistic`` and ``partition.assign_groups`` are the one-split
-  cases.
+  and outcome stay its own. Only the fit and the search fail a split alone:
+  a partition tiles the space, so a row no group holds is a bug. Every layer
+  gives a split what it would get alone, so the report does not depend on
+  the stack size; ``single_split_test``, ``bag_statistic``,
+  ``bag_gradient``, ``corrected_statistic`` and ``partition.assign_groups``
+  are the one-split cases.
 
 Underfit diagnosis: every rule of every selected group counts once for its
 covariate ({x1 <= a & x2 > b & x2 <= c} counts x1 once and x2 twice);
@@ -154,14 +155,14 @@ def _bag_values(y, prob, groups, k) -> list:
 
     ``y``, ``prob`` and ``groups`` hold the splits' test rows (s x n, n >= 1)
     and ``k`` each split's group count; every probability lies strictly
-    inside (0, 1), as the clamped predictions do. Each split's statistic sums
-    its own live groups: a sum over a padded length could round differently.
+    inside (0, 1), as the clamped predictions do, and every label below its
+    split's count, as assigned. Each split's statistic sums its own live
+    groups: a sum over a padded length could round differently.
     """
     contrib, live = _group_contributions(y, prob, groups, max(k))
     out = []
-    for c, lv, top, size in zip(contrib, live, (groups.max(axis=1) + 1).tolist(), k):
-        width = max(size, top)
-        c, lv = c[:width], lv[:width]
+    for c, lv, size in zip(contrib, live, k):
+        c, lv = c[:size], lv[:size]
         out.append(BagValue(statistic=float(np.sum(c[lv])), realized_k=int(lv.sum()),
                             contributions=tuple(c.tolist())))
     return out
@@ -170,8 +171,9 @@ def _bag_values(y, prob, groups, k) -> list:
 def bag_statistic(y_test, phat_test, group_idx, k: int) -> BagValue:
     """Sum over groups of (sum of residuals)^2 / (sum of variances) on test rows.
 
-    Empty groups contribute nothing and reduce ``realized_k`` accordingly.
-    The one-split case of ``_bag_values``.
+    Empty groups contribute nothing and reduce ``realized_k`` accordingly; a
+    label at or above ``k`` widens the result to reach it. The one-split case
+    of ``_bag_values``.
 
     Raises:
         ValueError: if there are no test rows, or a probability is not
@@ -182,8 +184,9 @@ def bag_statistic(y_test, phat_test, group_idx, k: int) -> BagValue:
         raise ValueError("empty test set")
     if ((p <= 0.0) | (p >= 1.0)).any():
         raise ValueError("test probabilities must lie strictly in (0, 1)")
-    [bag] = _bag_values(np.asarray(y_test, dtype=float)[None], p[None],
-                        np.asarray(group_idx, dtype=int)[None], [k])
+    g = np.asarray(group_idx, dtype=int)
+    [bag] = _bag_values(np.asarray(y_test, dtype=float)[None], p[None], g[None],
+                        [max(k, int(g.max(initial=-1)) + 1)])
     return bag
 
 
@@ -475,11 +478,12 @@ def _score_stack(dataset: Dataset, x_full: DesignMatrix, config: TestConfig, pla
     so no result depends on the stack.
 
     Returns one entry per split: its ``SplitOutcome``, or the exception the
-    split raises alone. Each layer hands back only the failures that depend on
-    the rows a split draws: a ``ValueError`` (a single response class, rank
-    deficiency, an infeasible partition) or a ``CoverageError``; ``_plan``
-    has ruled out the rest. Anything else (TypeError, IndexError, ...) is a
-    bug and propagates instead of being counted as a failed split.
+    split raises alone. Only two layers hand back failures that depend on the
+    rows a split draws, each a ``ValueError``: the fit (a single response
+    class, rank deficiency) and the search (an infeasible partition);
+    ``_plan`` has ruled out the rest. Anything else (a ``CoverageError``,
+    TypeError, IndexError, ...) is a bug and propagates instead of being
+    counted as a failed split.
     """
     n = dataset.n
     n_train, pcfg, order, ties, coded, scores = plan
@@ -515,25 +519,15 @@ def _score_stack(dataset: Dataset, x_full: DesignMatrix, config: TestConfig, pla
             at.append(j)
     if not at:
         return results
+    if len(at) < len(live):
+        coef, xt_test, phat_test, test = coef[at], xt_test[at], phat_test[at], test[at]
     if pcfg is None:
         values = {source: phat_test if scores is None else scores[test]}
     else:
-        values = {src: dataset.columns[src][test[at]]
+        values = {src: dataset.columns[src][test]
                   for src in sorted({src for j in at for src in parts[j].sources})}
-    grouped = []  # (place in the stack arrays, test groups)
-    for j, groups in zip(at, _assign_stack([parts[j] for j in at], values)):
-        if isinstance(groups, Exception):
-            results[live[j]] = groups
-        else:
-            grouped.append((j, groups))
-    if not grouped:
-        return results
-
-    at = [j for j, _ in grouped]
-    if len(at) < len(live):
-        coef, xt_test, phat_test, test = coef[at], xt_test[at], phat_test[at], test[at]
+    groups = _assign_stack([parts[j] for j in at], values)
     y_test = dataset.y[test]
-    groups = np.stack([g for _, g in grouped])
     bags = _bag_values(y_test, phat_test, groups, [parts[j].size for j in at])
     corrs = _corrections([b.statistic for b in bags],
                          np.stack([models[j].fisher_info for j in at]),
@@ -639,11 +633,11 @@ def multi_split_test(
     """Run the adaptive test with multiple random splits.
 
     Each split runs on its own child stream of ``rng``. Splits whose fit did
-    not converge or that raised a split-dependent error (``ValueError`` such
-    as a single-class training set or an infeasible partition,
-    ``CoverageError``, ``LinAlgError``) are excluded from the median and
-    counted as failed; when more than half the splits fail the report is
-    inconclusive. Other exceptions propagate.
+    not converge or that raised a split-dependent error (a ``ValueError`` of
+    the fit or the search: ``SingleClassError``, ``RankDeficiencyError``,
+    ``InfeasiblePartitionError``) are excluded from the median and counted as
+    failed; when more than half the splits fail the report is inconclusive.
+    Other exceptions propagate, a ``CoverageError`` among them.
     """
     x_full = design_matrix(dataset, mta)
     plan = _plan(config, dataset, x_full.ncol)

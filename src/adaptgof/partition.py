@@ -666,7 +666,7 @@ def _greedy_stack(config: PartitionConfig, columns: dict, order: dict, ties: dic
     return results
 
 
-def _assign_stack(parts: list, values: dict) -> list:
+def _assign_stack(parts: list, values: dict) -> np.ndarray:
     """``assign_groups`` for every split of a stack, in one pass.
 
     ``parts`` holds each split's ``Partition`` and ``values`` maps every
@@ -686,11 +686,12 @@ def _assign_stack(parts: list, values: dict) -> list:
     group and row: 0.31 ms for the 412 rules of a stack of 34 setting-3
     splits, against 5 us for the reduction over the padded axis.)
 
-    Returns one entry per split: its group index per row (0-based), or the
-    ``CoverageError`` ``assign_groups`` raises for that split alone.
+    Returns each split's group index per row (0-based), as one s x m array.
 
     Raises:
-        MissingColumnError: if a rule's source is not in ``values``.
+        CoverageError: if a row of a split matches zero or several groups,
+            with the message ``assign_groups`` gives for that split alone (the
+            first such split, then its first such row).
     """
     s, m = np.shape(next(iter(values.values())))
     sizes = np.array([part.size for part in parts])
@@ -703,8 +704,6 @@ def _assign_stack(parts: list, values: dict) -> list:
     for i, part in enumerate(parts):
         for g, group in enumerate(part.groups):
             for r, rule in enumerate(group.rules):
-                if rule.source not in values:
-                    raise MissingColumnError(rule.source)
                 if rule.op in ("le", "gt"):
                     cuts.setdefault(rule.source, []).append(
                         ((r * width + g) * s + i, i, rule.op == "gt", rule.threshold))
@@ -718,11 +717,10 @@ def _assign_stack(parts: list, values: dict) -> list:
         flat[rows] = signed[splits + s * gt] < np.where(gt, -t, np.nextafter(t, np.inf))[:, None]
     member = np.logical_and.reduce(masks, axis=0)  # group x split x row
     hits = np.add.reduce(member, axis=0, dtype=np.intp)
-    out = list(member.argmax(axis=0))  # the one group, where hits are 1
-    for i in np.flatnonzero((hits != 1).any(axis=1)).tolist():
-        bad = int(np.flatnonzero(hits[i] != 1)[0])
-        out[i] = CoverageError(f"row {bad} matched {int(hits[i, bad])} groups instead of 1")
-    return out
+    if (hits != 1).any():
+        i, bad = np.argwhere(hits != 1)[0].tolist()  # the first split, then its first row
+        raise CoverageError(f"row {bad} matched {int(hits[i, bad])} groups instead of 1")
+    return member.argmax(axis=0)  # the one group of each row
 
 
 def assign_groups(partition: Partition, columns: dict) -> np.ndarray:
@@ -734,10 +732,10 @@ def assign_groups(partition: Partition, columns: dict) -> np.ndarray:
         MissingColumnError: if a referenced column is absent.
         CoverageError: if any row matches zero or several groups.
     """
-    [idx] = _assign_stack([partition], {s: np.asarray(c)[None] for s, c in columns.items()})
-    if isinstance(idx, Exception):
-        raise idx
-    return idx
+    missing = [r.source for g in partition.groups for r in g.rules if r.source not in columns]
+    if missing:
+        raise MissingColumnError(missing[0])
+    return _assign_stack([partition], {s: np.asarray(c)[None] for s, c in columns.items()})[0]
 
 
 def probability_partition(scores, k: int, source: str = "score") -> Partition:

@@ -345,6 +345,39 @@ class TestTestCommand:
         assert "--seed" in captured.err
         assert "decision" not in captured.out
 
+    @pytest.mark.parametrize("content, message", [
+        (b"y,x1\n1,\xff\n0,2\n", "is not valid UTF-8"),
+        (b"y,x1,x1\n1,2,3\n", "has duplicate column names"),
+        (b"y,x1\n", "has a header but no data rows"),
+    ], ids=["not-utf-8", "duplicate-columns", "no-data-rows"])
+    def test_unreadable_csv_is_an_error(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        code = main(["test", "--input", str(path), "--response", "y", "--formula", "x1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: {path} {message}")
+        assert "decision" not in captured.out
+
+    def test_non_integer_seed_variable_is_an_error(self, tmp_path, capsys, monkeypatch):
+        path = setting1_csv(tmp_path, n=200)
+        monkeypatch.setenv("ADAPTGOF_SEED", "abc")
+        code = main(["test", "--input", path, "--response", "y", "--formula", "x1 + x2",
+                     "--splits", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: ADAPTGOF_SEED must be an integer, got 'abc'\n"
+        assert "decision" not in captured.out
+
+    def test_malformed_formula_is_an_error(self, tmp_path, capsys):
+        path = setting1_csv(tmp_path, n=200)
+        code = main(["test", "--input", path, "--response", "y", "--formula", "x1 +",
+                     "--splits", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: empty term in formula 'x1 +'\n"
+        assert "decision" not in captured.out
+
     def test_bad_partition_flag(self, tmp_path, capsys):
         path = setting1_csv(tmp_path, n=200)
         code = main(["test", "--input", path, "--response", "y",
@@ -542,6 +575,15 @@ class TestExperimentCommand:
                      "--outdir", str(tmp_path / "out")])
         assert code == 1
         assert "--alpha" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_method_is_usage_error(self, tmp_path, capsys):
+        code = main(["experiment", "--setting", "4", "--n", "100", "--reps", "1",
+                     "--methods", "bag-b,bag-c", "--seed", "1",
+                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: unknown method 'bag-c'; use hl-a, hl-b, bag-a, bag-b\n")
         assert not (tmp_path / "out").exists()
 
     def test_zero_splits_is_usage_error(self, tmp_path, capsys):

@@ -437,7 +437,7 @@ class TestFitStack:
     """A split fitted in a stack is bit for bit the split fitted alone."""
 
     def fit_stack(self, cases):
-        xt = np.stack([x.T for x, _ in cases])
+        xt = np.ascontiguousarray(np.stack([x.T for x, _ in cases]))
         return glm._fit_stack(xt, np.stack([y for _, y in cases]), _STACK_NAMES)
 
     def test_failures_stay_per_split(self):

@@ -34,7 +34,14 @@ from adaptgof.gof import (
 from adaptgof.numkit import empirical_quantiles
 from adaptgof.data import Dataset
 from adaptgof.formula import design_matrix, parse_formula
-from adaptgof.partition import AxisRule, CoverageError, Group, Partition
+from adaptgof.glm import RankDeficiencyError, SingleClassError
+from adaptgof.partition import (
+    AxisRule,
+    CoverageError,
+    Group,
+    InfeasiblePartitionError,
+    Partition,
+)
 from adaptgof.sim import generate, make_setting
 
 from _fixtures import (
@@ -353,6 +360,25 @@ class TestSingleSplit:
             single_split_test(ds, spec.model_a, TestConfig(train_size=199, k=5),
                               RandomSource(7))
 
+    @pytest.mark.parametrize("failure", ["InfeasiblePartitionError", "SingleClassError"])
+    def test_a_split_failure_raises(self, failure):
+        # what multi_split_test counts as a failed split, the lone split raises
+        if failure == "InfeasiblePartitionError":
+            spec = make_setting("1", 200, beta3=0.651)
+            ds = generate(spec, RandomSource(10).child("data"))
+            ds = ds.with_column("flat", np.ones(ds.n))  # no cut can split a constant column
+            mta, config, seed = spec.model_b, TestConfig(continuous=("flat",), discrete=()), 10
+            error, message = InfeasiblePartitionError, "the root group admits no feasible split"
+        else:
+            y = np.zeros(40, dtype=int)
+            y[:2] = 1  # seed 5 holds both positives out of its 30 training rows
+            ds = Dataset(y=y, columns={"x1": np.linspace(-1.0, 1.0, 40)},
+                         kinds={"x1": "continuous"})
+            mta, config, seed = parse_formula("x1"), TestConfig(k=2, train_size=30), 5
+            error, message = SingleClassError, "both response classes must be present"
+        with pytest.raises(error, match=f"^{re.escape(message)}"):
+            single_split_test(ds, mta, config, RandomSource(seed))
+
     @pytest.mark.parametrize("run", [single_split_test, multi_split_test])
     @pytest.mark.parametrize("case", ["training-below-coefficients", "nan-in-search-column"])
     def test_split_independent_errors_raise_before_any_split(self, monkeypatch, run, case):
@@ -384,6 +410,21 @@ class TestSingleSplit:
         assert default_train_size(500, 3) == 455
         assert default_train_size(1000, 3) == 940
         assert default_train_size(700, 5) == 630
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("fields, message", [
+        ({"k": 1}, "k must be at least 2"),
+        ({"n_min": 0}, "n_min must be at least 1"),
+        ({"alpha": 0.0}, "alpha must lie in (0, 1)"),
+        ({"alpha": 1.0}, "alpha must lie in (0, 1)"),
+        ({"splits": 0}, "splits must be at least 1"),
+        ({"partition_by": "quantiles"}, "unknown partition mode 'quantiles'"),
+        ({"partition_by": "score"}, "partition_by='score' requires score_column"),
+    ])
+    def test_rejects_each_bad_field(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TestConfig(**fields)
 
 
 class TestMultiSplit:
@@ -447,24 +488,44 @@ class TestMultiSplit:
             {"split": i, "failed": True, "error": o.error} for i, o in enumerate(report.outcomes)
         ]
 
-    @pytest.mark.parametrize("error", [ValueError, CoverageError, np.linalg.LinAlgError])
+    @pytest.mark.parametrize("error", [ValueError, InfeasiblePartitionError, RankDeficiencyError])
     def test_split_dependent_errors_count_as_failed_splits(self, monkeypatch, error):
         spec = make_setting("1", 200, beta3=0.651)
         ds = generate(spec, RandomSource(10).child("data"))
-        assign_stack = gof._assign_stack
+        greedy_stack = gof._greedy_stack
 
-        def fail_the_second_split(parts, values):
-            # the stacked pass hands back one split's failure in that split's place
-            out = assign_stack(parts, values)
+        def fail_the_second_split(*args):
+            # the stacked search hands back one split's failure in that split's place
+            out = greedy_stack(*args)
             out[1] = error("raised by the layer")
             return out
 
-        monkeypatch.setattr(gof, "_assign_stack", fail_the_second_split)
+        monkeypatch.setattr(gof, "_greedy_stack", fail_the_second_split)
         report = multi_split_test(ds, spec.model_b, TestConfig(splits=3),
                                   RandomSource(10).child("m"))
         assert report.n_failed == 1
         assert [o.failed for o in report.outcomes] == [False, True, False]
         assert report.outcomes[1].error == f"{error.__name__}: raised by the layer"
+
+    def test_a_partition_with_a_gap_stops_the_run(self, monkeypatch):
+        # a partition tiles the space by construction, so a row that no group
+        # holds is a bug: it propagates instead of counting as a failed split
+        spec = make_setting("1", 200, beta3=0.651)
+        ds = generate(spec, RandomSource(10).child("data"))
+        greedy_stack = gof._greedy_stack
+        gap = Partition(groups=(
+            Group(rules=(AxisRule("x1", "le", threshold=-10.0),), train_count=1),
+            Group(rules=(AxisRule("x1", "gt", threshold=10.0),), train_count=1),
+        ), sources=("x1",))
+
+        def leave_a_gap_in_the_second_split(*args):
+            out = greedy_stack(*args)
+            out[1] = gap
+            return out
+
+        monkeypatch.setattr(gof, "_greedy_stack", leave_a_gap_in_the_second_split)
+        with pytest.raises(CoverageError, match="^row 0 matched 0 groups instead of 1$"):
+            multi_split_test(ds, spec.model_b, TestConfig(splits=3), RandomSource(10).child("m"))
 
     def test_nonconverged_splits_are_left_out(self, monkeypatch):
         spec = make_setting("1", 500, beta3=0.651)

@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -209,6 +210,15 @@ class TestPartitionConfig:
         # the search used to cut such a column as discrete, one label per value
         with pytest.raises(ValueError, match="'x'.*both continuous and discrete"):
             PartitionConfig(k=3, n_min=10, continuous=("x",), discrete=("x",))
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"k": 1, "n_min": 10, "continuous": ("x",)}, "k must be at least 2"),
+        ({"k": 3, "n_min": 0, "continuous": ("x",)}, "n_min must be at least 1"),
+        ({"k": 3, "n_min": 10}, "at least one splitting source must be named"),
+    ])
+    def test_rejects_each_bad_field(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PartitionConfig(**fields)
 
     @pytest.mark.parametrize("kind", ["continuous", "discrete"])
     def test_source_listed_twice_is_rejected(self, kind):
@@ -707,20 +717,19 @@ class TestAssignStack:
                 return f"row {bad[0]} matched {len(hits[bad[0]])} groups instead of 1"
             return [h[0] for h in hits]
 
-        got = _assign_stack(parts, values)
-        assert len(got) == s
-        failed = 0
-        for i, (part, out) in enumerate(zip(parts, got)):
-            want = oracle(part, i)
-            try:
-                alone = assign_groups(part, {c: v[i] for c, v in values.items()})
-            except CoverageError as exc:
-                assert isinstance(out, CoverageError) and str(out) == str(exc) == want
-                failed += 1
-                continue
-            assert alone.tolist() == want
+        good = [i for i in range(s) if i != 3]
+        got = _assign_stack([parts[i] for i in good], {c: v[good] for c, v in values.items()})
+        assert got.shape == (s - 1, m)
+        for out, i in zip(got, good):
+            alone = assign_groups(parts[i], {c: v[i] for c, v in values.items()})
+            assert alone.tolist() == oracle(parts[i], i)
             assert np.array_equal(out, alone) and out.dtype == alone.dtype
-        assert failed == 1 and isinstance(got[3], CoverageError)
+        # the stack raises what the first split that does not tile raises alone
+        with pytest.raises(CoverageError) as alone:
+            assign_groups(parts[3], {c: v[3] for c, v in values.items()})
+        assert str(alone.value) == oracle(parts[3], 3)
+        with pytest.raises(CoverageError, match=f"^{re.escape(str(alone.value))}$"):
+            _assign_stack(parts, values)
 
 
 class TestProbabilityPartition:
@@ -755,6 +764,14 @@ class TestProbabilityPartition:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             probability_partition(np.array([0.2, 1.4]), 3)
+
+    @pytest.mark.parametrize("scores, k, message", [
+        ([0.2, 0.4], 1, "k must be at least 2"),
+        ([], 3, "empty score sample"),
+    ])
+    def test_rejects_each_bad_input(self, scores, k, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            probability_partition(np.array(scores), k)
 
     def test_matches_oracle_over_a_grid(self):
         # continuous, heavily tied, two-point and constant samples, and sizes
