@@ -5,9 +5,10 @@ step-halving), plus predictions; the fit carries its observed Fisher
 information in ``FittedGlm.fisher_info``. The fit is deliberately plain: no
 penalty, logit link only. Separation is not detected: once the fitted
 probabilities saturate at the clamp the gradient test passes, so a separated
-fit usually ends ``converged=True`` with extreme coefficients (40 rows with
-y = (x >= 2) stop after 19 iterations at about (-486, 243), with 38 of the
-40 probabilities at the clamp). Flagging such fits is ROADMAP item 1.
+fit usually ends ``converged=True`` with extreme coefficients: with x = 0, 1,
+2, 3 (ten rows each) and y = (x >= 2) it stops after 18 iterations at about
+(-51.97, 34.65), with 20 of the 40 probabilities at the clamp. Flagging such
+fits is ROADMAP item 2.
 
 One logistic-plus-clamp, ``_logistic_from``, turns linear predictors into
 clamped probabilities for the fit, for the predictions (``predict_prob`` and
@@ -37,7 +38,8 @@ product is one per split in the stack's shape and every stop is per split, so
 a split's fit does not depend on what else is in its stack. A split leaves the
 stack when it converges, stops or fails, and only then are the remaining
 splits' rows moved forward, in place; a one-split stack copies no rows while
-it iterates.
+it iterates. The stack's full Newton steps are scored together; the rare split
+whose full step is not kept halves on its own.
 """
 
 from __future__ import annotations
@@ -237,50 +239,35 @@ def _halving_step(xt: np.ndarray, flip: np.ndarray, beta: np.ndarray, prob: np.n
     the optimum the true gain of a full Newton step is below that noise, and a
     strict test would halve such a step away. A split stops trying when a try
     is kept, or when its candidate no longer differs from its ``beta``. The
-    splits still trying are scored together. Their rows are never gathered:
-    once some split of the stack has stopped, each try forms every split's
-    linear predictors and keeps those of the splits still trying.
+    full steps of the whole stack are scored together; a split whose full step
+    is not kept, which is rare, then halves alone, through products over its
+    own block ``xt[j:j + 1]``: the products its one-split stack makes.
 
     Returns ``(beta, prob, ll, moved)``: each split's kept candidate with its
     probabilities and log-likelihood, or its inputs where ``moved`` is False.
     The inputs are never written to.
     """
     floor = ll - _LL_RTOL * np.abs(ll)
-    moved = np.zeros(ll.size, dtype=bool)
-    out = None  # copies of (beta, prob, ll), made once the splits part ways
-    trying = slice(None)  # every split, as views
-    step = 1.0
-    for _ in range(40):
-        current = beta[trying]
-        cand = current + step * delta[trying]
-        differs = (cand != current).any(axis=1)
-        if not differs.all():
-            trying, cand = np.arange(ll.size)[trying][differs], cand[differs]
-            if trying.size == 0:
+    cand = beta + delta
+    # eta is held until the return: freed as a temporary straight after the
+    # scoring, it let the minor page faults of a 100-split test on 20,000 rows
+    # jump from about 4k to between 5k and 58k, from run to run
+    eta = _linear(cand, xt)
+    cand_prob, cand_ll = _prob_and_loglik(eta, flip)
+    moved = (cand_ll >= floor) & (cand != beta).any(axis=1)
+    for j in np.flatnonzero(~moved).tolist():
+        cand[j], cand_prob[j], cand_ll[j] = beta[j], prob[j], ll[j]
+        step = 0.5
+        for _ in range(39):
+            half = beta[j:j + 1] + step * delta[j:j + 1]
+            if (half == beta[j]).all():
                 break
-        if isinstance(trying, slice):
-            eta = _linear(cand, xt)
-        else:
-            # every split's product, kept for the splits still trying: a
-            # gather of their rows would copy most of the stack's design
-            full = beta.copy()
-            full[trying] = cand
-            eta = _linear(full, xt)[trying]
-        cand_prob, cand_ll = _prob_and_loglik(eta, flip[trying])
-        kept = cand_ll >= floor[trying]
-        if isinstance(trying, slice) and kept.all():
-            return cand, cand_prob, cand_ll, ~moved
-        if out is None:
-            out = (beta.copy(), prob.copy(), ll.copy())
-        trying = np.arange(ll.size)[trying]
-        for arr, new in zip(out, (cand, cand_prob, cand_ll)):
-            arr[trying[kept]] = new[kept]
-        moved[trying[kept]] = True
-        trying = trying[~kept]
-        if trying.size == 0:
-            break
-        step *= 0.5
-    return (*(out or (beta, prob, ll)), moved)
+            half_prob, half_ll = _prob_and_loglik(_linear(half, xt[j:j + 1]), flip[j:j + 1])
+            if half_ll[0] >= floor[j]:
+                cand[j], cand_prob[j], cand_ll[j], moved[j] = half[0], half_prob[0], half_ll[0], True
+                break
+            step *= 0.5
+    return cand, cand_prob, cand_ll, moved
 
 
 def _fit_stack(xt: np.ndarray, y, names: tuple) -> list:
@@ -292,12 +279,13 @@ def _fit_stack(xt: np.ndarray, y, names: tuple) -> list:
     (s x n) of 0s and 1s, with n >= p: the callers check those once, for
     every split. All splits take their Newton steps together, each
     with its own step-halving, gradient stop, no-move stop and iteration
-    count; a split leaves the stack when it converges, stops or fails, and
-    only then are the stack's rows gathered again, in place: each remaining
-    split's block moves forward in ``xt``, so the fit may overwrite ``xt``;
-    it never does for a one-split stack, whose split stays or leaves. Every
-    product is one per split of the stack's shape, so a split's fit is bit
-    for bit the same whatever else is in its stack.
+    count. A split leaves the stack through ``leave`` whatever its exit: one
+    response class, convergence, a singular system, no kept step or the
+    iteration cap. Only then are the stack's rows gathered again, in place:
+    each remaining split's block moves forward in ``xt``, so the fit may
+    overwrite ``xt``; it never does for a one-split stack, whose split stays
+    or leaves. Every product is one per split of the stack's shape, so a
+    split's fit is bit for bit the same whatever else is in its stack.
 
     Returns one entry per split: its ``FittedGlm``, or the split's own
     failure, ``SingleClassError`` or ``RankDeficiencyError``, with the
@@ -305,34 +293,19 @@ def _fit_stack(xt: np.ndarray, y, names: tuple) -> list:
     """
     s, p, n = xt.shape
     results = [None] * s
-    for j in np.flatnonzero(y.min(axis=1) == y.max(axis=1)).tolist():
-        results[j] = SingleClassError("both response classes must be present")
-    split = np.array([j for j, r in enumerate(results) if r is None], dtype=int)
-    if split.size == 0:
-        return results
-
-    def compact(keep):
-        """The design blocks of the splits ``keep`` marks, in order, moved forward in ``xt``."""
-        kept = np.flatnonzero(keep).tolist()
-        for to, at in enumerate(kept):
-            if to != at:
-                xt[to] = xt[at]
-        return xt[:len(kept)]
-
-    if split.size < s:
-        xt, y = compact(np.array([r is None for r in results])), y[split]
-
+    split = np.arange(s)
     grad_tol = 1e-8 * n
     flip = 1.0 - 2.0 * y
-    beta = np.zeros((split.size, p))
+    beta = np.zeros((s, p))
     # prob and ll always belong to beta: an accepted candidate hands its own
     # on, so each candidate costs one x @ beta and one exponential.
     prob, ll = _prob_and_loglik(_linear(beta, xt), flip)
-    ll_path = {j: [v] for j, v in zip(split.tolist(), ll.tolist())}
+    ll_path = [[v] for v in ll.tolist()]
     iterations = 0
 
     def leave(gone, info=None, converged=False):
-        """Take the splits marked ``gone`` out of the stack, recording their fits if ``info``."""
+        """Take the splits marked ``gone`` out of the stack, recording their fits if
+        ``info``, and move the blocks of the splits that stay forward in ``xt``."""
         nonlocal split, xt, y, flip, beta, prob, ll
         if info is not None:
             for j in np.flatnonzero(gone):
@@ -348,11 +321,21 @@ def _fit_stack(xt: np.ndarray, y, names: tuple) -> list:
                     fitted_prob=prob[j].copy(),
                 )
         keep = ~gone
-        xt = compact(keep)
+        for to, at in enumerate(np.flatnonzero(keep).tolist()):
+            if to != at:
+                xt[to] = xt[at]
         split, y, flip, beta, prob, ll = (arr[keep] for arr in (split, y, flip, beta, prob, ll))
+        xt = xt[:split.size]
         return keep
 
+    single = y.min(axis=1) == y.max(axis=1)
+    if single.any():
+        for j in np.flatnonzero(single).tolist():
+            results[j] = SingleClassError("both response classes must be present")
+        leave(single)
     for _ in range(_MAX_ITER):
+        if split.size == 0:
+            break
         grad = (xt @ (y - prob)[:, :, None])[:, :, 0]
         # also the information of a split that stops in this pass, whose prob
         # still belongs to its beta
@@ -382,8 +365,6 @@ def _fit_stack(xt: np.ndarray, y, names: tuple) -> list:
         beta, prob, ll, moved = _halving_step(xt, flip, beta, prob, ll, delta)
         if not moved.all():
             leave(~moved, info)  # no try kept: beta, prob and ll are unchanged
-            if split.size == 0:
-                break
         for j, v in zip(split.tolist(), ll.tolist()):
             ll_path[j].append(v)
     else:

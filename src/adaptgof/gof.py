@@ -182,7 +182,7 @@ def bag_statistic(y_test, phat_test, group_idx, k: int) -> BagValue:
     p = np.asarray(phat_test, dtype=float)
     if p.size == 0:
         raise ValueError("empty test set")
-    if ((p <= 0.0) | (p >= 1.0)).any():
+    if not ((p > 0.0) & (p < 1.0)).all():
         raise ValueError("test probabilities must lie strictly in (0, 1)")
     g = np.asarray(group_idx, dtype=int)
     [bag] = _bag_values(np.asarray(y_test, dtype=float)[None], p[None], g[None],
@@ -406,11 +406,7 @@ def _plan(config: TestConfig, dataset: Dataset, ncol: int) -> tuple:
     cont = config.continuous if config.continuous is not None else dataset.continuous_names
     disc = config.discrete if config.discrete is not None else dataset.discrete_names
     pcfg = PartitionConfig(k=config.k, n_min=n_min, continuous=cont, discrete=disc)
-    order = presort(dataset.columns, pcfg.continuous)
-    for name in pcfg.continuous:
-        bad = np.flatnonzero(~np.isfinite(np.asarray(dataset.columns[name], dtype=float)))
-        if bad.size:
-            raise ValueError(f"continuous column {name!r} is not finite at row {bad[0]}")
+    order = presort(dataset.columns, pcfg.continuous)  # raises on a non-finite value
     return (n_train, pcfg, order, _tie_ranks(dataset.columns, order),
             _code_labels(dataset.columns, pcfg.discrete), None)
 

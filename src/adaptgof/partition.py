@@ -242,7 +242,7 @@ def criterion_b(y, phat, group_idx, n_groups: int | None = None) -> float:
     ``phat`` must lie strictly inside (0, 1) so the variance sums are positive.
     """
     p = np.asarray(phat, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    if not ((p > 0.0) & (p < 1.0)).all():
         raise ValueError("fitted probabilities must lie strictly in (0, 1)")
     stat, _ = grouped_chi2(y, p, group_idx, n_groups)
     return stat
@@ -427,8 +427,18 @@ def presort(columns: dict, names) -> dict:
 
     ``greedy_partition`` computes it for its one search; a test that runs
     many searches over subsets of the same rows computes it once.
+
+    Raises:
+        ValueError: if a named column holds a value that is not finite.
     """
-    return {s: np.argsort(np.asarray(columns[s], dtype=float), kind="stable") for s in names}
+    order = {}
+    for s in names:
+        v = np.asarray(columns[s], dtype=float)
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ValueError(f"continuous column {s!r} is not finite at row {bad[0]}")
+        order[s] = np.argsort(v, kind="stable")
+    return order
 
 
 def _tie_ranks(columns: dict, order: dict) -> dict:
@@ -474,7 +484,8 @@ def greedy_partition(config: PartitionConfig, columns: dict, y, phat) -> Partiti
 
     Raises:
         MissingColumnError: if a source is not in ``columns``.
-        ValueError: if a probability is not strictly inside (0, 1).
+        ValueError: if a continuous source holds a value that is not finite,
+            or a probability is not strictly inside (0, 1).
         InfeasiblePartitionError: when even the root cannot be split.
     """
     for s in sorted(config.continuous + config.discrete):
@@ -483,7 +494,7 @@ def greedy_partition(config: PartitionConfig, columns: dict, y, phat) -> Partiti
     order = presort(columns, config.continuous)
     ties, coded = _tie_ranks(columns, order), _code_labels(columns, config.discrete)
     p = np.asarray(phat, dtype=float)
-    if ((p <= 0.0) | (p >= 1.0)).any():
+    if not ((p > 0.0) & (p < 1.0)).all():
         raise ValueError("fitted probabilities must lie strictly in (0, 1)")
     y = np.asarray(y, dtype=float)
     [part] = _greedy_stack(config, columns, order, ties, coded, np.arange(y.size)[None], y,
@@ -730,11 +741,14 @@ def assign_groups(partition: Partition, columns: dict) -> np.ndarray:
 
     Raises:
         MissingColumnError: if a referenced column is absent.
+        ValueError: if ``columns`` is empty.
         CoverageError: if any row matches zero or several groups.
     """
     missing = [r.source for g in partition.groups for r in g.rules if r.source not in columns]
     if missing:
         raise MissingColumnError(missing[0])
+    if not columns:
+        raise ValueError("no columns given: the rows to assign are counted from them")
     return _assign_stack([partition], {s: np.asarray(c)[None] for s, c in columns.items()})[0]
 
 
@@ -751,7 +765,7 @@ def probability_partition(scores, k: int, source: str = "score") -> Partition:
     s = np.asarray(scores, dtype=float)
     if s.size == 0:
         raise ValueError("empty score sample")
-    if np.any(s < 0.0) or np.any(s > 1.0):
+    if not ((s >= 0.0) & (s <= 1.0)).all():
         raise ValueError("scores must lie in [0, 1]")
     left, qs = _quantile_cuts(np.sort(s), k)
     # A threshold at the max score would leave an empty top interval; drop it.

@@ -261,7 +261,7 @@ def _run_method(method: MethodSpec, dataset: Dataset, spec: SettingSpec,
         except ValueError:  # e.g. a replication with one response class
             return None
         # bag drops non-converged splits too; a separated fit can still end
-        # converged=True with saturated probabilities (ROADMAP item 1)
+        # converged=True with saturated probabilities (ROADMAP item 2)
         if not model.converged:
             return None
         result = hl_test(dataset.y, model.fitted_prob, k=method.k or 10)

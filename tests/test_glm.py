@@ -407,7 +407,8 @@ _STACK_NAMES = ("(Intercept)", "a", "b", "c")
 
 def _stack_of_every_outcome():
     """Equal-shape (20 x 4) splits: healthy fits, one single-class response, one
-    rank-deficient design and two separated fits that run into the iteration cap."""
+    rank-deficient design, two separated fits that run into the iteration cap
+    and one that stops when no halving of its step is kept."""
     rng = np.random.default_rng(7)
 
     def healthy():
@@ -423,6 +424,8 @@ def _stack_of_every_outcome():
     for seed in (332, 61):
         x, y = _separated_case(seed)
         cases.insert(2 * len(cases) // 3, (x.values, y))
+    x, y = _separated_case(1063)
+    cases.insert(3, (x.values, y))
     return cases
 
 
@@ -455,7 +458,7 @@ class TestFitStack:
                 _assert_identical_fits(fit, fit_logistic(alone, y))
                 kinds.append(_fit_exit(fit))
         assert kinds.count("converged") == 4
-        assert {"SingleClassError", "RankDeficiencyError", "cap"} <= set(kinds)
+        assert {"SingleClassError", "RankDeficiencyError", "cap", "halving"} <= set(kinds)
         assert kinds.count("cap") == 2
 
     def test_results_do_not_depend_on_the_stack(self):

@@ -135,6 +135,10 @@ class TestBagStatistic:
         out = bag_statistic([1, 0, 1], [0.4, 0.5, 0.6], [0, 0, 2], 4)
         assert out.realized_k == 2
 
+    def test_rejects_nan_probability(self):
+        with pytest.raises(ValueError, match=r"strictly in \(0, 1\)"):
+            bag_statistic([0, 1, 1], [0.5, np.nan, 0.4], [0, 0, 1], 2)
+
     def test_group_permutation_invariance(self):
         rng = np.random.default_rng(5)
         perm = rng.permutation(30)

@@ -76,6 +76,10 @@ class TestCriterionB:
         with pytest.raises(ValueError):
             criterion_b([], [], [])
 
+    def test_rejects_nan_probability(self):
+        with pytest.raises(ValueError, match=r"strictly in \(0, 1\)"):
+            criterion_b([0, 1, 1], [0.5, np.nan, 0.4], [0, 0, 1])
+
 
 class TestGroupedChi2:
     def test_group_count_is_a_minimum_length(self):
@@ -227,6 +231,25 @@ class TestPartitionConfig:
 
 
 class TestGreedyPartition:
+    def test_rejects_nan_probability(self):
+        rng = RandomSource(80)
+        x, y = rng.normal(0, 1, size=100), rng.bernoulli(0.5, size=100)
+        phat = np.full(100, 0.5)
+        phat[7] = np.nan
+        cfg = PartitionConfig(k=2, n_min=20, continuous=("x",))
+        with pytest.raises(ValueError, match=r"strictly in \(0, 1\)"):
+            greedy_partition(cfg, {"x": x}, y, phat)
+
+    def test_rejects_non_finite_continuous_value(self):
+        # a NaN row would match no rule of the returned partition
+        rng = RandomSource(81)
+        a, b = rng.normal(0, 1, size=200), rng.normal(0, 1, size=200)
+        a[5] = np.nan
+        y = rng.bernoulli(0.5, size=200)
+        cfg = PartitionConfig(k=4, n_min=20, continuous=("a", "b"))
+        with pytest.raises(ValueError, match=r"^continuous column 'a' is not finite at row 5$"):
+            greedy_partition(cfg, {"a": a, "b": b}, y, np.full(200, 0.5))
+
     def test_sharp_sign_signal_splits_near_zero(self):
         rng = RandomSource(77)
         n = 2000
@@ -593,6 +616,19 @@ class TestAssignGroups:
         part = Partition(groups=(Group(rules=(), train_count=3),))
         assert assign_groups(part, {"x": np.arange(3.0)}).tolist() == [0, 0, 0]
 
+    def test_no_columns_is_an_error(self):
+        # a partition without rules reads no column, so none gives no row count
+        part = Partition(groups=(Group(rules=(), train_count=3),))
+        with pytest.raises(ValueError, match="no columns"):
+            assign_groups(part, {})
+        # a partition with rules names its first missing column instead
+        part = Partition(groups=(
+            Group(rules=(AxisRule("x1", "le", threshold=0.0),), train_count=1),
+            Group(rules=(AxisRule("x1", "gt", threshold=0.0),), train_count=1),
+        ))
+        with pytest.raises(MissingColumnError):
+            assign_groups(part, {})
+
     def test_matches_row_by_row_predicate_oracle(self):
         rng = RandomSource(83)
         n = 400
@@ -748,6 +784,10 @@ class TestProbabilityPartition:
         assert 0.1 <= t < 0.9
         idx = assign_groups(part, {"score": scores})
         assert np.sum(idx == 0) == 20 and np.sum(idx == 1) == 20
+
+    def test_rejects_nan_score(self):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            probability_partition([0.1, np.nan, 0.5, 0.7, 0.9, 0.3], 3)
 
     def test_all_equal_scores_degenerate(self):
         part = probability_partition(np.full(30, 0.5), 3, source="score")
