@@ -53,12 +53,10 @@ from .partition import (
     Partition,
     PartitionConfig,
     _assign_stack,
-    _code_labels,
     _greedy_stack,
     _group_contributions,
-    _tie_ranks,
+    _search_index,
     grouped_chi2,  # unused here, but bench/test_bench.py patches gof.grouped_chi2
-    presort,
     probability_partition,
 )
 
@@ -110,11 +108,18 @@ def hl_test(y, phat, k: int = 10) -> HlResult:
 
     A group whose mean probability is exactly 0 or 1 makes the statistic
     undefined; that is reported as a failed result, not an exception.
+
+    Raises:
+        ValueError: if the vectors differ in length, a probability lies
+            outside [0, 1] (NaN included), k is below 3 or there are fewer
+            than k observations.
     """
     y = np.asarray(y, dtype=float)
     p = np.asarray(phat, dtype=float)
     if y.shape != p.shape:
         raise ValueError("response and probability vectors must have equal length")
+    if not ((p >= 0.0) & (p <= 1.0)).all():
+        raise ValueError("fitted probabilities must lie in [0, 1]")
     if k < 3:
         raise ValueError("k must be at least 3")
     if y.size < k:
@@ -374,16 +379,16 @@ def _rule_counts(groups) -> dict:
 def _plan(config: TestConfig, dataset: Dataset, ncol: int) -> tuple:
     """What every split of one test shares.
 
-    Returns ``(n_train, partition config, order, ties, coded, scores)``.
-    Resolves the defaults and checks once what no split can change, so a
-    configuration or a column that would fail the splits raises
-    ``ValueError`` before the first split: sizes (among them a training set
-    smaller than the design's ``ncol`` columns) and a non-finite value in a
-    continuous search column. For the covariate search it also sorts and
-    ranks each continuous column once over all rows (``order``, ``ties``)
-    and codes each discrete column once (``coded``); each split filters its
-    training rows out of those. For ``partition_by="score"`` it reads and
-    range-checks the score column once (``scores``).
+    Returns ``(n_train, index, scores)``. Resolves the defaults and checks
+    once what no split can change, so a configuration or a column that would
+    fail the splits raises ``ValueError`` before the first split: sizes
+    (among them a training set smaller than the design's ``ncol`` columns)
+    and a non-finite value in a continuous search column. For the covariate
+    search it builds the one search index of the test over all rows
+    (``partition._search_index``), out of which each split filters its
+    training rows; ``index`` is None in the other modes. For
+    ``partition_by="score"`` it reads and range-checks the score column once
+    (``scores``).
     """
     n = dataset.n
     n_min = config.n_min if config.n_min is not None else n // 10
@@ -400,15 +405,13 @@ def _plan(config: TestConfig, dataset: Dataset, ncol: int) -> tuple:
         scores = dataset.numeric(config.score_column)
         if not np.all((scores >= 0.0) & (scores <= 1.0)):
             raise ValueError(f"score column {config.score_column!r} must lie in [0, 1]")
-        return n_train, None, None, None, None, scores
+        return n_train, None, scores
     if config.partition_by == "mta-prob":
-        return n_train, None, None, None, None, None
+        return n_train, None, None
     cont = config.continuous if config.continuous is not None else dataset.continuous_names
     disc = config.discrete if config.discrete is not None else dataset.discrete_names
     pcfg = PartitionConfig(k=config.k, n_min=n_min, continuous=cont, discrete=disc)
-    order = presort(dataset.columns, pcfg.continuous)  # raises on a non-finite value
-    return (n_train, pcfg, order, _tie_ranks(dataset.columns, order),
-            _code_labels(dataset.columns, pcfg.discrete), None)
+    return n_train, _search_index(dataset.columns, pcfg), None  # raises on a non-finite value
 
 
 def _gather_rows(x: DesignMatrix, rows) -> np.ndarray:
@@ -466,10 +469,11 @@ def _score_stack(dataset: Dataset, x_full: DesignMatrix, config: TestConfig, pla
 
     ``fitted`` is what ``_fit_splits`` returns. The test rows of all splits
     are gathered and predicted together, the covariate partitions are
-    searched in lockstep (``partition._greedy_stack``), the test rows are
-    assigned to their groups in one pass (``partition._assign_stack``), and
-    the statistic, its gradient, the correction's solve and the p-value each
-    run once for the stack. Each split's rule counts and outcome stay its
+    searched in lockstep (``partition._greedy_stack``) on the test's one
+    search index from ``_plan``, the test rows are assigned to their groups
+    in one pass (``partition._assign_stack``), and the statistic, its
+    gradient, the correction's solve and the p-value each run once for the
+    stack. Each split's rule counts and outcome stay its
     own, and each stacked layer gives every split what it would get alone,
     so no result depends on the stack.
 
@@ -482,7 +486,7 @@ def _score_stack(dataset: Dataset, x_full: DesignMatrix, config: TestConfig, pla
     counted as a failed split.
     """
     n = dataset.n
-    n_train, pcfg, order, ties, coded, scores = plan
+    n_train, index, scores = plan
     train, test, results = fitted
     live = [i for i, r in enumerate(results) if not isinstance(r, Exception)]
     if not live:
@@ -500,9 +504,8 @@ def _score_stack(dataset: Dataset, x_full: DesignMatrix, config: TestConfig, pla
     xt_test = _gather_rows(x_full, test)
     phat_test = _clamped_logistic(_linear(coef, xt_test))
 
-    if pcfg is not None:
-        parts = _greedy_stack(pcfg, dataset.columns, order, ties, coded, train, dataset.y,
-                              [m.fitted_prob for m in models])
+    if index is not None:
+        parts = _greedy_stack(index, train, dataset.y, [m.fitted_prob for m in models])
     else:
         source = _MTA_PROB_COLUMN if scores is None else config.score_column
         train_scores = [m.fitted_prob for m in models] if scores is None else scores[train]
@@ -517,7 +520,7 @@ def _score_stack(dataset: Dataset, x_full: DesignMatrix, config: TestConfig, pla
         return results
     if len(at) < len(live):
         coef, xt_test, phat_test, test = coef[at], xt_test[at], phat_test[at], test[at]
-    if pcfg is None:
+    if index is None:
         values = {source: phat_test if scores is None else scores[test]}
     else:
         values = {src: dataset.columns[src][test]

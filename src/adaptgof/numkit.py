@@ -41,15 +41,18 @@ def chi2_sf(x, k):
     integer.
 
     Raises:
-        ValueError: if any ``x < 0`` or ``k < 1``.
+        ValueError: unless every ``x >= 0`` and every ``k`` is finite and at
+            least 1 (a NaN fails both), naming the first bad value.
     """
     xs = np.asarray(x, dtype=float)
-    ks = np.asarray(k).astype(int)
-    if np.any(xs < 0.0):
-        raise ValueError(f"chi2_sf requires x >= 0, got {xs[xs < 0.0].flat[0]}")
-    if np.any(ks < 1):
-        raise ValueError(f"chi2_sf requires k >= 1, got {ks[ks < 1].flat[0]}")
-    out = chdtrc(ks, xs)  # exactly 1.0 at x = 0
+    bad = ~(xs >= 0.0)
+    if bad.any():
+        raise ValueError(f"chi2_sf requires x >= 0, got {xs[bad].flat[0]}")
+    kf = np.asarray(k, dtype=float)
+    bad = ~(kf >= 1.0) | (kf == np.inf)
+    if bad.any():
+        raise ValueError(f"chi2_sf requires a finite k >= 1, got {kf[bad].flat[0]}")
+    out = chdtrc(kf.astype(int), xs)  # exactly 1.0 at x = 0
     return float(out) if out.ndim == 0 else out
 
 

@@ -8,12 +8,14 @@ step the cut that maximizes the grouped chi-squared criterion of the two
 children, until the target group count is reached or no feasible cut remains.
 
 The continuous cut search works on presorted columns (the presorting of
-CART, and the exact-greedy scan over sorted column blocks of XGBoost). Each
-continuous column is sorted and ranked once per search -- or once per test,
-over all its rows, for all its splits (``gof._plan``) -- and each child
-group's sorted rows are filtered from its parent's. Because a stable sort of
-a subset equals the parent's stable order restricted to that subset, the
-running sums are the ones a fresh per-node sort would give.
+CART, and the exact-greedy scan over sorted column blocks of XGBoost). One
+search index (``_search_index``) holds what the search reads of the columns:
+each continuous column sorted and ranked, and each discrete column coded.
+A test builds it once, over all its rows, for all its splits (``gof._plan``);
+each split filters its training rows out of it, and each child group's
+sorted rows are filtered from its parent's. Because a stable sort of a subset
+equals the parent's stable order restricted to that subset, the running sums
+are the ones a fresh per-node sort would give.
 
 The search runs every split of a stack in lockstep (``_greedy_stack``;
 ``greedy_partition`` is its one-split case): each step pops the next queued
@@ -26,10 +28,10 @@ residual and variance sums, and one expression scores every (column, node,
 candidate) triple. The layout keeps one such array per column and never one
 (columns x rows) array per node: at 18,000 rows those per-node arrays are
 large fresh allocations whose page faults cost more than the calls they
-save. Membership cuts are scored node by node, from labels coded once per
-test (``_code_labels``). The held-out rows of every split of a stack are
-assigned to their groups in one pass (``_assign_stack``; ``assign_groups``
-is its one-split case).
+save. Membership cuts are scored node by node, from the index's label
+codes. The held-out rows of every split of a stack are assigned to their
+groups in one pass (``_assign_stack``; ``assign_groups`` is its one-split
+case).
 
 Each group's term of the grouped chi-squared value, (residual sum)^2 /
 (variance sum), comes from one kernel, ``_group_contributions``, which
@@ -68,7 +70,6 @@ __all__ = [
     "grouped_chi2",
     "candidate_thresholds",
     "candidate_discrete_splits",
-    "presort",
     "greedy_partition",
     "assign_groups",
     "probability_partition",
@@ -422,52 +423,37 @@ def _best_discrete_cut(labels, codes, resid, var, n_min):
     return None if best is None else (best[0], tuple(sorted(labels[best[1]].tolist(), key=str)))
 
 
-def presort(columns: dict, names) -> dict:
-    """Stable ascending row order of each named column, keyed by name.
+def _search_index(columns: dict, config: PartitionConfig) -> tuple:
+    """What the search reads of the columns, for every search over their rows.
 
-    ``greedy_partition`` computes it for its one search; a test that runs
-    many searches over subsets of the same rows computes it once.
+    Returns ``(config, continuous, coded)``. ``continuous`` maps each
+    continuous source to ``(values, order, ranks)``: its float values, their
+    stable ascending row order, and their dense ranks, which rows with equal
+    values share and which ascend with the value, so that the search finds
+    the last row of a run of ties in a group by one integer ``searchsorted``.
+    ``coded`` maps each discrete source to ``(labels, codes)``: its sorted
+    distinct labels and each row's index into them, since ``np.unique`` over
+    strings would cost most of a group's membership cuts. A search over a
+    subset of the rows keeps their order, ties and codes.
 
     Raises:
-        ValueError: if a named column holds a value that is not finite.
+        ValueError: if a continuous source holds a value that is not finite.
     """
-    order = {}
-    for s in names:
+    continuous = {}
+    for s in config.continuous:
         v = np.asarray(columns[s], dtype=float)
         bad = np.flatnonzero(~np.isfinite(v))
         if bad.size:
             raise ValueError(f"continuous column {s!r} is not finite at row {bad[0]}")
-        order[s] = np.argsort(v, kind="stable")
-    return order
-
-
-def _tie_ranks(columns: dict, order: dict) -> dict:
-    """Each presorted column's dense value ranks, keyed by name.
-
-    Rows with equal values share a rank and ranks ascend with the value, so
-    the search finds the last row of a run of ties in a group by one integer
-    ``searchsorted``. A test ranks each column once, over all its rows; a
-    split's training rows keep their order and ties.
-    """
-    out = {}
-    for s, o in order.items():
-        srt = np.asarray(columns[s], dtype=float).take(o)
-        rank = np.zeros(o.size, dtype=np.intp)
+        order = np.argsort(v, kind="stable")
+        srt = v.take(order)
+        rank = np.zeros(order.size, dtype=np.intp)
         np.cumsum(srt[1:] != srt[:-1], out=rank[1:])
-        out[s] = np.empty_like(rank)
-        out[s].put(o, rank)
-    return out
-
-
-def _code_labels(columns: dict, names) -> dict:
-    """Each named discrete column as ``(labels, codes)``: its sorted distinct
-    labels and each row's index into them.
-
-    A test codes its discrete columns once; the search then finds each
-    group's labels from integer codes, since ``np.unique`` over strings would
-    cost most of a group's membership cuts.
-    """
-    return {s: np.unique(np.asarray(columns[s]), return_inverse=True) for s in names}
+        ranks = np.empty_like(rank)
+        ranks.put(order, rank)
+        continuous[s] = (v, order, ranks)
+    coded = {s: np.unique(np.asarray(columns[s]), return_inverse=True) for s in config.discrete}
+    return config, continuous, coded
 
 
 def greedy_partition(config: PartitionConfig, columns: dict, y, phat) -> Partition:
@@ -480,7 +466,8 @@ def greedy_partition(config: PartitionConfig, columns: dict, y, phat) -> Partiti
     training rows.
 
     This is the one-split case of the lockstep search of a stack of splits,
-    ``_greedy_stack``.
+    ``_greedy_stack``. It builds the search index for its one search and
+    uses it once; a test builds one index for all its splits.
 
     Raises:
         MissingColumnError: if a source is not in ``columns``.
@@ -491,49 +478,44 @@ def greedy_partition(config: PartitionConfig, columns: dict, y, phat) -> Partiti
     for s in sorted(config.continuous + config.discrete):
         if s not in columns:
             raise MissingColumnError(s)
-    order = presort(columns, config.continuous)
-    ties, coded = _tie_ranks(columns, order), _code_labels(columns, config.discrete)
+    index = _search_index(columns, config)
     p = np.asarray(phat, dtype=float)
     if not ((p > 0.0) & (p < 1.0)).all():
         raise ValueError("fitted probabilities must lie strictly in (0, 1)")
     y = np.asarray(y, dtype=float)
-    [part] = _greedy_stack(config, columns, order, ties, coded, np.arange(y.size)[None], y,
-                           p[None])
+    [part] = _greedy_stack(index, np.arange(y.size)[None], y, p[None])
     if isinstance(part, Exception):
         raise part
     return part
 
 
-def _root_lanes(order: dict, ordered: list, rows: np.ndarray, discrete: bool) -> list:
-    """Every split's training rows as flat rows, split after split, in the
-    order of each continuous column and then, with discrete sources, in row
+def _root_lanes(orders: list, rows: np.ndarray, discrete: bool) -> list:
+    """Every split's training rows as flat rows, split after split, in each of
+    the continuous columns' ``orders`` and then, with discrete sources, in row
     order: one array per lane.
 
     Each split's order follows from the shared one in O(n), with no sort.
     """
     s, n = rows.shape
     lanes = []
-    if ordered:
-        member = np.zeros((s, order[ordered[0]].size), dtype=bool)
+    if orders:
+        member = np.zeros((s, orders[0].size), dtype=bool)
         np.put_along_axis(member, rows, True, axis=1)
         flat = (np.cumsum(member) - 1).reshape(member.shape)  # i * n + rank in split i
-        for name in ordered:
-            o = order[name]
+        for o in orders:
             lanes.append(flat.take(o, axis=1).compress(member.take(o, axis=1).ravel()))
     if discrete:
         lanes.append(np.arange(s * n))
     return lanes
 
 
-def _greedy_stack(config: PartitionConfig, columns: dict, order: dict, ties: dict,
-                  coded: dict, rows: np.ndarray, y: np.ndarray, phat) -> list:
+def _greedy_stack(index: tuple, rows: np.ndarray, y: np.ndarray, phat) -> list:
     """The search of ``greedy_partition`` on every split of a stack, in lockstep.
 
-    ``columns`` and ``y`` hold the columns and responses of all rows, and
-    ``order``, ``ties`` and ``coded`` are what ``presort``, ``_tie_ranks``
-    and ``_code_labels`` give for them. ``rows`` lists each split's training
-    rows, in ascending order (s x n), and ``phat`` their probabilities (s x n,
-    or one array per split), each strictly inside (0, 1) as a fit's clamped
+    ``index`` is the ``_search_index`` of all rows' columns and ``y`` holds
+    all rows' responses. ``rows`` lists each split's training rows, in
+    ascending order (s x n), and ``phat`` their probabilities (s x n, or one
+    array per split), each strictly inside (0, 1) as a fit's clamped
     probabilities are. The stack holds its responses and probabilities only
     as the running-sum lanes of ``rv``, and its tie keys as 32-bit integers
     where they fit: these, the node lanes and the rows are the search's
@@ -562,16 +544,17 @@ def _greedy_stack(config: PartitionConfig, columns: dict, order: dict, ties: dic
     np.multiply(p, 1.0 - p, out=rv.imag[:-1].reshape(s, n))
     del p
     resid, var = rv.real, rv.imag
+    config, continuous, coded = index
     n_min = config.n_min
     ordered = sorted(config.continuous)
     discrete = sorted(config.discrete)
     rows = np.asarray(rows)
-    cols = [np.asarray(columns[name], dtype=float) for name in ordered]
-    roots = _root_lanes(order, ordered, rows, bool(discrete))
+    cols, orders, ties = ([continuous[name][j] for name in ordered] for j in range(3))
+    roots = _root_lanes(orders, rows, bool(discrete))
     keys = []
     kind = np.int32 if cols and cols[0].size * s < 2**31 else np.intp
-    for name in ordered:
-        key = ties[name].take(rows).astype(kind)
+    for tie in ties:
+        key = tie.take(rows).astype(kind)
         key += cols[0].size * np.arange(s, dtype=kind)[:, None]  # keys ascend across splits too
         keys.append(key.ravel())
     codes = {name: (labels, c.take(rows).ravel()) for name, (labels, c) in coded.items()}

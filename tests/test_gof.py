@@ -103,6 +103,9 @@ class TestHlTest:
             hl_test([0, 1], [0.5, 0.5, 0.5], k=3)
         with pytest.raises(ValueError):
             hl_test([0, 1], [0.4, 0.6], k=3)
+        for bad in (np.nan, -0.5):
+            with pytest.raises(ValueError, match=r"^fitted probabilities must lie in \[0, 1\]$"):
+                hl_test([0, 1, 0, 1], [0.5, bad, 0.4, 0.6], k=3)
 
 
 @st.composite
@@ -651,6 +654,29 @@ class TestMultiSplit:
         multi_split_test(ds, spec.model_b, TestConfig(train_size=60, splits=40),
                          RandomSource(10).child("m"))
         assert stacks == [7] * 5 + [5]
+
+    def test_one_search_index_per_test(self, monkeypatch):
+        # 100 splits of 150 training rows in stacks of at most 40 (stacks of
+        # 34, 34 and 32) share the index built before the first split
+        spec = make_setting("1", 200, beta3=0.651)
+        ds = generate(spec, RandomSource(10).child("data"))
+        fit_splits, search_index = gof._fit_splits, gof._search_index
+        stacks, indexes = [], []
+
+        def record_stack(dataset, x_full, n_train, rngs):
+            stacks.append(len(rngs))
+            return fit_splits(dataset, x_full, n_train, rngs)
+
+        def record_index(*args):
+            indexes.append(search_index(*args))
+            return indexes[-1]
+
+        monkeypatch.setattr(gof, "_fit_splits", record_stack)
+        monkeypatch.setattr(gof, "_search_index", record_index)
+        monkeypatch.setattr(gof, "_STACK_ROWS", 40 * 150)
+        multi_split_test(ds, spec.model_b, TestConfig(splits=100), RandomSource(10).child("m"))
+        assert stacks == [34, 34, 32]
+        assert len(indexes) == 1
 
     def test_programming_errors_propagate(self, monkeypatch):
         spec = make_setting("1", 200, beta3=0.651)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,13 @@ class TestChi2Sf:
             chi2_sf(-0.1, 3)
         with pytest.raises(ValueError):
             chi2_sf(1.0, 0)
+        with pytest.raises(ValueError, match=r"^chi2_sf requires x >= 0, got nan$"):
+            chi2_sf(np.array([1.0, np.nan]), 3)
+        for bad in ("nan", "inf"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no cast of a non-finite k to an integer
+                with pytest.raises(ValueError, match=f"^chi2_sf requires a finite k >= 1, got {bad}$"):
+                    chi2_sf(1.0, np.array([3, float(bad)]))
 
 
 class TestGaussianQuantile:

@@ -34,11 +34,9 @@ from adaptgof.gof import TestConfig, default_train_size, single_split_test
 from adaptgof.partition import (
     _assign_stack,
     _best_discrete_cut,
-    _code_labels,
     _greedy_stack,
-    _tie_ranks,
+    _search_index,
     grouped_chi2,
-    presort,
 )
 from adaptgof.sim import SETTINGS, generate, make_setting
 
@@ -536,9 +534,7 @@ class TestLockstepSearch:
     @given(_stack_inputs())
     def test_each_split_gets_its_partition_alone(self, inputs):
         cfg, cols, rows, y, phat = inputs
-        order = presort(cols, cfg.continuous)
-        stacked = _greedy_stack(cfg, cols, order, _tie_ranks(cols, order),
-                                _code_labels(cols, cfg.discrete), rows, y, phat)
+        stacked = _greedy_stack(_search_index(cols, cfg), rows, y, phat)
         for i, got in enumerate(stacked):
             alone = {c: v[rows[i]] for c, v in cols.items()}
             expected = _search_alone(greedy_partition_oracle, cfg, alone, y[rows[i]], phat[i])
