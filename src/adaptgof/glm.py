@@ -3,12 +3,19 @@
 Maximum likelihood via iteratively reweighted least squares (Newton steps with
 step-halving), plus predictions; the fit carries its observed Fisher
 information in ``FittedGlm.fisher_info``. The fit is deliberately plain: no
-penalty, logit link only. Separation is not detected: once the fitted
-probabilities saturate at the clamp the gradient test passes, so a separated
-fit usually ends ``converged=True`` with extreme coefficients: with x = 0, 1,
-2, 3 (ten rows each) and y = (x >= 2) it stops after 18 iterations at about
-(-51.97, 34.65), with 20 of the 40 probabilities at the clamp. Flagging such
-fits is ROADMAP item 2.
+penalty, logit link only. It converges when the gradient max-norm falls to
+1e-8 n, and then takes one closing Newton step, which lands at the MLE up to
+the rounding of the gradient: beyond rounding, a fit's result does not
+depend on where it started, so ``gof`` starts every split's fit from the
+full-data fit (a fit with rows at the clamp has no stationary point, and
+``gof`` starts none from such a fit). The test alone decides convergence;
+the closing step never changes the exit.
+Separation is not detected: once the fitted probabilities saturate at the
+clamp the gradient test passes, so a separated fit usually ends
+``converged=True`` with extreme coefficients: with x = 0, 1, 2, 3 (ten rows
+each) and y = (x >= 2) it stops after 19 iterations (its closing step
+included) at about (-54.91, 36.61), with 20 of the 40 probabilities at the
+clamp. Flagging such fits is ROADMAP item 2.
 
 One logistic-plus-clamp, ``_logistic_from``, turns linear predictors into
 clamped probabilities for the fit, for the predictions (``predict_prob`` and
@@ -112,7 +119,9 @@ class FittedGlm:
 
     ``fisher_info`` is the observed information X' W X with
     W_ii = p_i (1 - p_i) evaluated at the final coefficients.
-    ``ll_path`` records the log-likelihood after each accepted step.
+    ``iterations`` counts Newton steps, a converged fit's closing step
+    included; ``ll_path`` records the log-likelihood at the start and after
+    each kept step.
     ``fitted_prob`` holds the clamped probabilities of the training rows at
     ``coef``.
     """
@@ -270,16 +279,30 @@ def _halving_step(xt: np.ndarray, flip: np.ndarray, beta: np.ndarray, prob: np.n
     return cand, cand_prob, cand_ll, moved
 
 
-def _fit_stack(xt: np.ndarray, y, names: tuple) -> list:
+def _fit_stack(xt: np.ndarray, y, names: tuple, start=None) -> list:
     """Fit one logistic regression per split of a stack by IRLS, in lockstep.
 
     ``xt`` holds the splits' transposed designs as one C-contiguous float
     stack (s x p x n, so that each p x n block is row-contiguous: a product
     over another layout can round differently) and ``y`` their responses
     (s x n) of 0s and 1s, with n >= p: the callers check those once, for
-    every split. All splits take their Newton steps together, each
+    every split. Every split starts from ``start`` (p coefficients), or from
+    zero when it is None. All splits take their Newton steps together, each
     with its own step-halving, gradient stop, no-move stop and iteration
-    count. A split leaves the stack through ``leave`` whatever its exit: one
+    count.
+
+    The gradient test (max |X'(y - p)| <= 1e-8 n) alone decides convergence.
+    A split that passes it takes one more Newton step, its closing step, and
+    leaves converged at the next pass with ``fisher_info`` evaluated at its
+    final coefficients, whether that step is kept, is not kept, does not move
+    the coefficients (a system that cannot be solved gives no step) or is
+    the last the iteration cap allows. A step is quadratically convergent at
+    the MLE, so the closing step takes a fit that passed the test to the MLE
+    up to the rounding of its gradient, wherever the fit started: a warm and
+    a cold start then agree to rounding, where at the test alone they differ
+    by up to J^-1 times the 1e-8 n tolerance.
+
+    A split leaves the stack through ``leave`` whatever its exit: one
     response class, convergence, a singular system, no kept step or the
     iteration cap. Only then are the stack's rows gathered again, in place:
     each remaining split's block moves forward in ``xt``, so the fit may
@@ -296,22 +319,24 @@ def _fit_stack(xt: np.ndarray, y, names: tuple) -> list:
     split = np.arange(s)
     grad_tol = 1e-8 * n
     flip = 1.0 - 2.0 * y
-    beta = np.zeros((s, p))
+    beta = np.zeros((s, p)) if start is None else np.tile(start, (s, 1))
     # prob and ll always belong to beta: an accepted candidate hands its own
     # on, so each candidate costs one x @ beta and one exponential.
     prob, ll = _prob_and_loglik(_linear(beta, xt), flip)
     ll_path = [[v] for v in ll.tolist()]
     iterations = 0
+    passed = np.zeros(s, dtype=bool)  # passed the gradient test: closing step taken
 
-    def leave(gone, info=None, converged=False):
+    def leave(gone, info=None):
         """Take the splits marked ``gone`` out of the stack, recording their fits if
-        ``info``, and move the blocks of the splits that stay forward in ``xt``."""
-        nonlocal split, xt, y, flip, beta, prob, ll
+        ``info``, converged if they passed the gradient test, and move the blocks
+        of the splits that stay forward in ``xt``."""
+        nonlocal split, xt, y, flip, beta, prob, ll, passed
         if info is not None:
             for j in np.flatnonzero(gone):
                 results[split[j]] = FittedGlm(
                     coef=beta[j],
-                    converged=converged,
+                    converged=bool(passed[j]),
                     iterations=iterations,
                     fisher_info=0.5 * (info[j] + info[j].T),
                     log_likelihood=float(ll[j]),
@@ -324,7 +349,8 @@ def _fit_stack(xt: np.ndarray, y, names: tuple) -> list:
         for to, at in enumerate(np.flatnonzero(keep).tolist()):
             if to != at:
                 xt[to] = xt[at]
-        split, y, flip, beta, prob, ll = (arr[keep] for arr in (split, y, flip, beta, prob, ll))
+        split, y, flip, beta, prob, ll, passed = (
+            arr[keep] for arr in (split, y, flip, beta, prob, ll, passed))
         xt = xt[:split.size]
         return keep
 
@@ -336,16 +362,16 @@ def _fit_stack(xt: np.ndarray, y, names: tuple) -> list:
     for _ in range(_MAX_ITER):
         if split.size == 0:
             break
-        grad = (xt @ (y - prob)[:, :, None])[:, :, 0]
-        # also the information of a split that stops in this pass, whose prob
-        # still belongs to its beta
+        # also the information at the final coefficients of the splits that
+        # took their closing step in the last pass, which leave now
         info = _weighted_gram(xt, prob)
-        stay = np.abs(grad).max(axis=1) > grad_tol
-        if not stay.all():
-            keep = leave(~stay, info, converged=True)
+        if passed.any():
+            keep = leave(passed, info)
             if split.size == 0:
                 break
-            grad, info = grad[keep], info[keep]
+            info = info[keep]
+        grad = (xt @ (y - prob)[:, :, None])[:, :, 0]
+        passed = np.abs(grad).max(axis=1) <= grad_tol
         iterations += 1
         try:
             delta = _solve_spd(info, grad)
@@ -357,27 +383,37 @@ def _fit_stack(xt: np.ndarray, y, names: tuple) -> list:
                 try:
                     delta[j] = _solve_spd(info[j], grad[j])
                 except RankDeficiencyError as exc:
-                    results[split[j]], failed[j] = exc, True
+                    if not passed[j]:  # a closing step that cannot be solved does not move
+                        results[split[j]], failed[j] = exc, True
             keep = leave(failed)
             if split.size == 0:
                 break
             delta, info = delta[keep], info[keep]
         beta, prob, ll, moved = _halving_step(xt, flip, beta, prob, ll, delta)
-        if not moved.all():
-            leave(~moved, info)  # no try kept: beta, prob and ll are unchanged
-        for j, v in zip(split.tolist(), ll.tolist()):
+        for j, v in zip(split[moved].tolist(), ll[moved].tolist()):
             ll_path[j].append(v)
+        stuck = ~(moved | passed)
+        if stuck.any():
+            leave(stuck, info)  # no try kept: beta, prob and ll are unchanged
     else:
         leave(np.ones(split.size, dtype=bool), _weighted_gram(xt, prob))
     return results
 
 
+def _check_response(y: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every response entry is 0 or 1 (NaN is not)."""
+    if not ((y == 0.0) | (y == 1.0)).all():
+        raise ValueError("response entries must be 0 or 1")
+
+
 def fit_logistic(x: DesignMatrix, y) -> FittedGlm:
-    """Fit a logistic regression by IRLS: the one-split case of ``_fit_stack``.
+    """Fit a logistic regression by IRLS from zero: the one-split case of ``_fit_stack``.
 
     Iterates Newton steps with step-halving until the gradient max-norm drops
-    to 1e-8 * n. Running into the cap of 100 iterations, or a step that no
-    halving can keep or that no longer moves the coefficients, returns
+    to 1e-8 * n, then takes one closing Newton step (counted in
+    ``iterations``) and returns ``converged=True`` whatever that step does.
+    Running into the cap of 100 iterations first, or a step that no halving
+    can keep or that no longer moves the coefficients, returns
     ``converged=False`` rather than raising.
 
     Raises:
@@ -391,8 +427,7 @@ def fit_logistic(x: DesignMatrix, y) -> FittedGlm:
     n, p = x.values.shape
     if yv.size != n:
         raise ValueError(f"response length {yv.size} does not match {n} design rows")
-    if not ((yv == 0.0) | (yv == 1.0)).all():
-        raise ValueError("response entries must be 0 or 1")
+    _check_response(yv)
     if n < p and yv.min() < yv.max():  # a single class is the stack's failure, and comes first
         raise ValueError(f"need at least as many rows ({n}) as columns ({p})")
     # p x n, row-contiguous; a view when x.values is column-major, which the

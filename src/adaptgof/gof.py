@@ -18,7 +18,10 @@ Four layers, bottom to top:
   It works in stacks of at most ``max(1, _STACK_ROWS // max(n_train, n_test))``
   splits, evened out so that no short last stack pays a whole stack's
   overhead: the rows of a stack's splits are drawn from their own streams,
-  the stack is fitted by one lockstep IRLS loop (``glm._fit_stack``) and
+  the stack is fitted by one lockstep IRLS loop (``glm._fit_stack``),
+  started from the coefficients of the one full-data fit that ``_plan``
+  makes per test (from zero when that fit raises, does not converge or is
+  clamped; the closing step of every fit makes the start not show), and
   scored by ``_score_stack``: one lockstep partition search
   (``partition._greedy_stack``) and one pass each for the test-row
   prediction, the group assignment (``partition._assign_stack``), the
@@ -47,7 +50,8 @@ import numpy as np
 
 from .data import Dataset
 from .formula import Formula, design_matrix
-from .glm import DesignMatrix, FittedGlm, _clamped_logistic, _fit_stack, _linear
+from .glm import (PROB_CLAMP, DesignMatrix, FittedGlm, _check_response, _clamped_logistic,
+                  _fit_stack, _linear, fit_logistic)
 from .numkit import RandomSource, chi2_sf, empirical_quantiles, gaussian_quantile
 from .partition import (
     Partition,
@@ -110,14 +114,15 @@ def hl_test(y, phat, k: int = 10) -> HlResult:
     undefined; that is reported as a failed result, not an exception.
 
     Raises:
-        ValueError: if the vectors differ in length, a probability lies
-            outside [0, 1] (NaN included), k is below 3 or there are fewer
-            than k observations.
+        ValueError: if the vectors differ in length, a response entry is not
+            0 or 1 (NaN included), a probability lies outside [0, 1] (NaN
+            included), k is below 3 or there are fewer than k observations.
     """
     y = np.asarray(y, dtype=float)
     p = np.asarray(phat, dtype=float)
     if y.shape != p.shape:
         raise ValueError("response and probability vectors must have equal length")
+    _check_response(y)
     if not ((p >= 0.0) & (p <= 1.0)).all():
         raise ValueError("fitted probabilities must lie in [0, 1]")
     if k < 3:
@@ -181,17 +186,18 @@ def bag_statistic(y_test, phat_test, group_idx, k: int) -> BagValue:
     of ``_bag_values``.
 
     Raises:
-        ValueError: if there are no test rows, or a probability is not
-            strictly inside (0, 1).
+        ValueError: if there are no test rows, a probability is not strictly
+            inside (0, 1), or a response entry is not 0 or 1 (NaN included).
     """
     p = np.asarray(phat_test, dtype=float)
     if p.size == 0:
         raise ValueError("empty test set")
     if not ((p > 0.0) & (p < 1.0)).all():
         raise ValueError("test probabilities must lie strictly in (0, 1)")
+    y = np.asarray(y_test, dtype=float)
+    _check_response(y)
     g = np.asarray(group_idx, dtype=int)
-    [bag] = _bag_values(np.asarray(y_test, dtype=float)[None], p[None], g[None],
-                        [max(k, int(g.max(initial=-1)) + 1)])
+    [bag] = _bag_values(y[None], p[None], g[None], [max(k, int(g.max(initial=-1)) + 1)])
     return bag
 
 
@@ -376,15 +382,37 @@ def _rule_counts(groups) -> dict:
     return dict(Counter(rule.source for group in groups for rule in group.rules))
 
 
-def _plan(config: TestConfig, dataset: Dataset, ncol: int) -> tuple:
+def _full_fit_start(x_full: DesignMatrix, y) -> np.ndarray | None:
+    """The coefficients every split's IRLS starts from: those of the full-data fit.
+
+    None, a start from zero, when that fit raises, does not converge or has a
+    training probability at the clamp (separation, ROADMAP item 2): a
+    separated fit's coefficients run off towards infinity along the
+    separating direction, far from a split's own MLE.
+    """
+    try:
+        fit = fit_logistic(x_full, y)
+    except ValueError:
+        return None
+    prob = fit.fitted_prob
+    if not fit.converged or ((prob <= PROB_CLAMP) | (prob >= 1.0 - PROB_CLAMP)).any():
+        return None
+    return fit.coef
+
+
+def _plan(config: TestConfig, dataset: Dataset, x_full: DesignMatrix) -> tuple:
     """What every split of one test shares.
 
-    Returns ``(n_train, index, scores)``. Resolves the defaults and checks
-    once what no split can change, so a configuration or a column that would
-    fail the splits raises ``ValueError`` before the first split: sizes
-    (among them a training set smaller than the design's ``ncol`` columns)
-    and a non-finite value in a continuous search column. For the covariate
-    search it builds the one search index of the test over all rows
+    Returns ``(n_train, index, scores, start)``. Resolves the defaults and
+    checks once what no split can change, so a configuration or a column that
+    would fail the splits raises ``ValueError`` before the first split: sizes
+    (among them a training set smaller than the design's columns) and a
+    non-finite value in a continuous search column. It fits the model on all
+    rows once, and every split's IRLS starts from that fit (``start``, see
+    ``_full_fit_start``): the splits share most of their rows, so their MLEs
+    lie close to it, and the closing step of ``glm._fit_stack`` takes each
+    split's fit to its own MLE wherever it started. For the covariate search
+    it builds the one search index of the test over all rows
     (``partition._search_index``), out of which each split filters its
     training rows; ``index`` is None in the other modes. For
     ``partition_by="score"`` it reads and range-checks the score column once
@@ -399,19 +427,20 @@ def _plan(config: TestConfig, dataset: Dataset, ncol: int) -> tuple:
         raise ValueError(f"training size {n_train} is below 2 * n_min = {2 * n_min}")
     if n - n_train < config.k:
         raise ValueError(f"test size {n - n_train} is below k = {config.k}")
-    if n_train < ncol:
-        raise ValueError(f"training size {n_train} is below the model's {ncol} coefficients")
+    if n_train < x_full.ncol:
+        raise ValueError(
+            f"training size {n_train} is below the model's {x_full.ncol} coefficients")
+    index = scores = None
     if config.partition_by == "score":
         scores = dataset.numeric(config.score_column)
         if not np.all((scores >= 0.0) & (scores <= 1.0)):
             raise ValueError(f"score column {config.score_column!r} must lie in [0, 1]")
-        return n_train, None, scores
-    if config.partition_by == "mta-prob":
-        return n_train, None, None
-    cont = config.continuous if config.continuous is not None else dataset.continuous_names
-    disc = config.discrete if config.discrete is not None else dataset.discrete_names
-    pcfg = PartitionConfig(k=config.k, n_min=n_min, continuous=cont, discrete=disc)
-    return n_train, _search_index(dataset.columns, pcfg), None  # raises on a non-finite value
+    elif config.partition_by == "covariates":
+        cont = config.continuous if config.continuous is not None else dataset.continuous_names
+        disc = config.discrete if config.discrete is not None else dataset.discrete_names
+        pcfg = PartitionConfig(k=config.k, n_min=n_min, continuous=cont, discrete=disc)
+        index = _search_index(dataset.columns, pcfg)  # raises on a non-finite value
+    return n_train, index, scores, _full_fit_start(x_full, dataset.y)
 
 
 def _gather_rows(x: DesignMatrix, rows) -> np.ndarray:
@@ -442,14 +471,16 @@ def _gather_rows(x: DesignMatrix, rows) -> np.ndarray:
 _STACK_ROWS = 12288
 
 
-def _fit_splits(dataset: Dataset, x_full: DesignMatrix, n_train: int, rngs) -> tuple:
-    """Draw each split's rows from its own stream and fit all the splits as one stack.
+def _fit_splits(dataset: Dataset, x_full: DesignMatrix, plan: tuple, rngs) -> tuple:
+    """Draw each split's rows from its own stream and fit all the splits as one stack,
+    from the plan's start.
 
     Returns ``(train, test, fits)``: each split's training and test rows in
     ascending order (s x n_train and s x n_test, read off one membership mask
     of the first n_train places of each permutation) and per split its
     ``FittedGlm`` or the exception fitting it alone raises.
     """
+    n_train, _, _, start = plan
     n, s = dataset.n, len(rngs)
     member = np.zeros((s, n), dtype=bool)
     np.put_along_axis(member, np.stack([rng.permutation(n)[:n_train] for rng in rngs]), True,
@@ -460,7 +491,7 @@ def _fit_splits(dataset: Dataset, x_full: DesignMatrix, n_train: int, rngs) -> t
     # the fit may overwrite the stack's gathered design; a float response
     # leaves no integer copy alive during the fit
     return train, test, _fit_stack(_gather_rows(x_full, train), dataset.y.astype(float)[train],
-                                   x_full.names)
+                                   x_full.names, start)
 
 
 def _score_stack(dataset: Dataset, x_full: DesignMatrix, config: TestConfig, plan: tuple,
@@ -486,7 +517,7 @@ def _score_stack(dataset: Dataset, x_full: DesignMatrix, config: TestConfig, pla
     counted as a failed split.
     """
     n = dataset.n
-    n_train, index, scores = plan
+    n_train, index, scores, _ = plan
     train, test, results = fitted
     live = [i for i, r in enumerate(results) if not isinstance(r, Exception)]
     if not live:
@@ -569,9 +600,8 @@ def single_split_test(
     a failure raises instead of being recorded.
     """
     x_full = design_matrix(dataset, mta)
-    plan = _plan(config, dataset, x_full.ncol)
-    [out] = _score_stack(dataset, x_full, config, plan,
-                         _fit_splits(dataset, x_full, plan[0], [rng]))
+    plan = _plan(config, dataset, x_full)
+    [out] = _score_stack(dataset, x_full, config, plan, _fit_splits(dataset, x_full, plan, [rng]))
     if isinstance(out, Exception):
         raise out
     return out
@@ -639,7 +669,7 @@ def multi_split_test(
     Other exceptions propagate, a ``CoverageError`` among them.
     """
     x_full = design_matrix(dataset, mta)
-    plan = _plan(config, dataset, x_full.ncol)
+    plan = _plan(config, dataset, x_full)
     # the larger half of a split sizes the stack: with a small training set on
     # a large file, the test rows are what a stack holds most of
     per_stack = max(1, _STACK_ROWS // max(plan[0], dataset.n - plan[0]))
@@ -648,7 +678,7 @@ def multi_split_test(
     outcomes = []
     for lo in range(0, config.splits, per_stack):
         rngs = [rng.child(("split", i)) for i in range(lo, min(lo + per_stack, config.splits))]
-        fitted = _fit_splits(dataset, x_full, plan[0], rngs)
+        fitted = _fit_splits(dataset, x_full, plan, rngs)
         for out in _score_stack(dataset, x_full, config, plan, fitted):
             if isinstance(out, Exception):
                 out = SplitOutcome.failure(f"{type(out).__name__}: {out}")

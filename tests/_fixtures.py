@@ -425,7 +425,9 @@ def _solve_spd_oracle(a, b):
 
 
 def fit_logistic_oracle(x, y):
-    """IRLS with step-halving, as ``fit_logistic`` computed it before the rewrite."""
+    """IRLS with step-halving, as ``fit_logistic`` computed it before the rewrite,
+    plus the closing step: a fit that passes the gradient test takes one more
+    Newton step and ends converged whether or not a halving of it is kept."""
     yv = np.asarray(y, dtype=float).ravel()
     xv = x.values
     n, p = xv.shape
@@ -448,28 +450,35 @@ def fit_logistic_oracle(x, y):
     for _ in range(100):
         prob = _clamp_oracle(_logistic_oracle(xv @ beta))
         grad = xv.T @ (yv - prob)
-        if np.max(np.abs(grad)) <= grad_tol:
-            converged = True
-            break
+        converged = bool(np.max(np.abs(grad)) <= grad_tol)
         iterations += 1
         w = prob * (1.0 - prob)
         info = xv.T @ (xv * w[:, None])
-        delta = _solve_spd_oracle(info, grad)
+        try:
+            delta = _solve_spd_oracle(info, grad)
+        except RankDeficiencyError:
+            if not converged:
+                raise
+            break  # a closing step that cannot be solved does not move
 
         step = 1.0
         accepted = False
+        # the closing step tolerates the rounding of the log-likelihood: at the
+        # MLE a full step's gain is below it
+        floor = ll - 16 * np.finfo(float).eps * abs(ll) if converged else ll
         for _ in range(40):
             cand = beta + step * delta
             ll_new = _log_likelihood_oracle(xv, yv, cand)
-            if ll_new >= ll:
+            if ll_new >= floor:
                 accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        if accepted and not (converged and np.array_equal(cand, beta)):
+            beta = cand
+            ll = ll_new
+            ll_path.append(ll)
+        if converged or not accepted:
             break
-        beta = cand
-        ll = ll_new
-        ll_path.append(ll)
 
     prob = _clamp_oracle(_logistic_oracle(xv @ beta))
     w = prob * (1.0 - prob)

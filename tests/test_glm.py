@@ -19,7 +19,7 @@ from adaptgof import (
     make_setting,
     predict_prob,
 )
-from adaptgof import glm
+from adaptgof import glm, gof
 from adaptgof.gof import bag_gradient
 from adaptgof.sim import SETTINGS
 
@@ -282,6 +282,13 @@ class TestFitMatchesOracle:
     ``bag_gradient`` 1e-8, because each central difference divides the
     statistic's rounding by 2h ~ 2e-5. The exit (converged, iterations,
     accepted steps) must be the same wherever the oracle did not stall.
+
+    Both end a converged fit with the closing step, kept under the fit's
+    rounding tolerance. Under the oracle's strict rule the closing step's
+    gain, below the rounding of the summed log-likelihood at the MLE, was
+    kept or halved at random, and the two fits differed by up to J^-1 times
+    the gradient tolerance: 1.5e-7 relative over these training splits,
+    against 2.1e-15 with the shared rule, inside the stated 1e-12.
     """
 
     def assert_same(self, x_train, y_train, x_test=None, y_test=None):
@@ -504,3 +511,130 @@ class TestSolveSpd:
         except RankDeficiencyError:
             return
         glm._solve_spd(a, b)
+
+
+def _split_fit_case(setting, n, seed, draws):
+    """The designs, responses and training rows of ``draws`` splits of a test on
+    generated data, drawn as ``multi_split_test`` draws them."""
+    spec = make_setting(setting, n)
+    ds = generate(spec, RandomSource(seed))
+    rng = RandomSource(seed).child("m")
+    n_train = gof.default_train_size(n, 5)
+    trains = [np.sort(rng.child(("split", i)).permutation(n)[:n_train]) for i in draws]
+    return spec, ds, trains
+
+
+def _fit_stack_from(x, y, trains, start):
+    xt = np.ascontiguousarray(np.stack([x.values[t].T for t in trains]))
+    return glm._fit_stack(xt, np.stack([y[t] for t in trains]).astype(float), x.names, start)
+
+
+def _exit(fit):
+    return type(fit).__name__ if isinstance(fit, Exception) else _fit_exit(fit)
+
+
+class TestClosingStep:
+    """A fit that passes the gradient test takes one more Newton step, then ends converged."""
+
+    def closing_patched(self, monkeypatch, closing_delta):
+        """``fit_logistic`` on LOGIT20, plain and with the closing step's Newton step replaced."""
+        plain = fit_logistic(with_slope(LOGIT20_X), LOGIT20_Y)
+        solve = glm._solve_spd
+
+        def patched(a, b):
+            if np.abs(b).max() <= 1e-8 * LOGIT20_Y.size:  # the split passed the test
+                return closing_delta(solve(a, b))
+            return solve(a, b)
+
+        monkeypatch.setattr(glm, "_solve_spd", patched)
+        return fit_logistic(with_slope(LOGIT20_X), LOGIT20_Y), plain
+
+    def assert_ends_before_the_closing_step(self, fit, plain):
+        assert fit.converged and fit.iterations == plain.iterations
+        # the closing step appends to the path only when it is kept
+        assert fit.ll_path == plain.ll_path[:-1]
+        assert fit.log_likelihood == fit.ll_path[-1]
+        xt = np.ascontiguousarray(with_slope(LOGIT20_X).values.T)[None]
+        info = glm._weighted_gram(xt, fit.fitted_prob[None])[0]
+        assert np.array_equal(fit.fisher_info, 0.5 * (info + info.T))
+        assert np.array_equal(fit.fitted_prob, glm._clamped_logistic(fit.coef @ xt[0]))
+
+    def test_closing_step_lands_at_the_mle(self):
+        x = with_slope(LOGIT20_X)
+        fit = fit_logistic(x, LOGIT20_Y)
+        grad = x.values.T @ (LOGIT20_Y - fit.fitted_prob)
+        assert fit.converged and np.max(np.abs(grad)) <= 1e-13 * x.n
+
+    def test_a_step_that_is_not_kept_still_converges(self, monkeypatch):
+        # every one of the 40 tries of a step of 1e6 in each coefficient lowers
+        # the log-likelihood by more than its rounding
+        self.assert_ends_before_the_closing_step(
+            *self.closing_patched(monkeypatch, lambda delta: np.full_like(delta, 1e6)))
+
+    def test_a_step_that_does_not_move_still_converges(self, monkeypatch):
+        self.assert_ends_before_the_closing_step(
+            *self.closing_patched(monkeypatch, lambda delta: delta * 1e-300))
+
+    def test_a_system_that_cannot_be_solved_still_converges(self, monkeypatch):
+        def singular(delta):
+            raise RankDeficiencyError("forced")
+
+        self.assert_ends_before_the_closing_step(*self.closing_patched(monkeypatch, singular))
+
+    def test_the_cap_on_the_closing_pass_still_converges(self, monkeypatch):
+        # the closing step is the last step the cap allows: the fit leaves the
+        # loop without a further pass, with the same information
+        plain = fit_logistic(with_slope(LOGIT20_X), LOGIT20_Y)
+        monkeypatch.setattr(glm, "_MAX_ITER", plain.iterations)
+        _assert_identical_fits(fit_logistic(with_slope(LOGIT20_X), LOGIT20_Y), plain)
+        monkeypatch.setattr(glm, "_MAX_ITER", plain.iterations - 1)
+        assert _fit_exit(fit_logistic(with_slope(LOGIT20_X), LOGIT20_Y)) == "cap"
+
+    def test_a_quasi_separated_fit_stays_converged(self):
+        # nn-example, model A, n = 500, data seed 6, split 18: training rows at
+        # the clamp keep the gradient near 4.2e-7, so a stop of 1e-12 n = 4.25e-10
+        # sent this fit to the cap; the gradient test of 1e-8 n ends it converged
+        spec, ds, [train] = _split_fit_case("nn-example", 500, 6, [18])
+        full = design_matrix(ds, spec.model_a)
+        x, y = DesignMatrix(full.values[train], full.names), ds.y[train]
+        fit = fit_logistic(x, y)
+        grad = np.max(np.abs(x.values.T @ (y - fit.fitted_prob)))
+        assert fit.converged and _at_clamp(fit.fitted_prob)
+        assert 1e-12 * x.n < grad <= 1e-8 * x.n
+
+
+class TestWarmStart:
+    """A split's fit from the full-data fit is its fit from zero, to rounding."""
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_the_start_does_not_show(self, setting):
+        started = 0
+        for n, seed in ((500, 0), (1000, 1)):
+            spec, ds, trains = _split_fit_case(setting, n, seed, range(5))
+            for formula in (spec.model_a, spec.model_b):
+                x = design_matrix(ds, formula)
+                start = gof._full_fit_start(x, ds.y)
+                started += start is not None
+                warm = _fit_stack_from(x, ds.y, trains, start)
+                cold = _fit_stack_from(x, ds.y, trains, None)
+                for w, c in zip(warm, cold):
+                    assert _exit(w) == _exit(c)
+                    if not isinstance(c, Exception):
+                        _assert_near(w.coef, c.coef, 1e-12)
+        # only nn-example's model A, whose full fit is clamped, starts from zero
+        assert started == (2 if setting == "nn-example" else 4)
+
+    def test_a_clamped_full_fit_gives_no_start(self):
+        spec, ds, trains = _split_fit_case("nn-example", 500, 0, range(5))
+        x = design_matrix(ds, spec.model_a)
+        full = fit_logistic(x, ds.y)
+        assert full.converged and _at_clamp(full.fitted_prob)
+        assert gof._full_fit_start(x, ds.y) is None
+        plan = gof._plan(gof.TestConfig(partition_by="mta-prob"), ds, x)
+        assert plan[3] is None
+        # started from the clamped fit, split fits stop elsewhere on the flat
+        # likelihood of their clamped rows
+        warm = _fit_stack_from(x, ds.y, trains, full.coef)
+        cold = _fit_stack_from(x, ds.y, trains, None)
+        assert max(np.max(np.abs(w.coef - c.coef)) / np.max(np.abs(c.coef))
+                   for w, c in zip(warm, cold)) > 1e-9

@@ -107,6 +107,12 @@ class TestHlTest:
             with pytest.raises(ValueError, match=r"^fitted probabilities must lie in \[0, 1\]$"):
                 hl_test([0, 1, 0, 1], [0.5, bad, 0.4, 0.6], k=3)
 
+    @pytest.mark.parametrize("bad", [2, np.nan, 0.5, -1])
+    def test_rejects_a_response_that_is_not_0_or_1(self, bad):
+        # a 2 once gave p = 0.045 with failed=False
+        with pytest.raises(ValueError, match="^response entries must be 0 or 1$"):
+            hl_test([0, bad, 0, 1, 1, 0], [0.5, 0.3, 0.4, 0.6, 0.7, 0.2], k=3)
+
 
 @st.composite
 def _grouped_test_rows(draw):
@@ -186,6 +192,12 @@ class TestBagStatistic:
         message = "test probabilities must lie strictly in (0, 1)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             bag_statistic([1], [1.0], [0], 1)
+
+    @pytest.mark.parametrize("bad", [2, np.nan, 0.5, -1])
+    def test_rejects_a_response_that_is_not_0_or_1(self, bad):
+        # a 2 once gave a statistic of 3.14, a NaN a statistic of nan
+        with pytest.raises(ValueError, match="^response entries must be 0 or 1$"):
+            bag_statistic([0, bad, 1], [0.5, 0.4, 0.6], [0, 0, 1], 2)
 
 
 def _toy_model_and_test():
@@ -611,9 +623,9 @@ class TestMultiSplit:
         fit_splits = gof._fit_splits
         stacks = []
 
-        def record_stack(dataset, x_full, n_train, rngs):
+        def record_stack(dataset, x_full, plan, rngs):
             stacks.append(len(rngs))
-            return fit_splits(dataset, x_full, n_train, rngs)
+            return fit_splits(dataset, x_full, plan, rngs)
 
         monkeypatch.setattr(gof, "_fit_splits", record_stack)
         reports = []
@@ -645,9 +657,9 @@ class TestMultiSplit:
         fit_splits = gof._fit_splits
         stacks = []
 
-        def record_stack(dataset, x_full, n_train, rngs):
+        def record_stack(dataset, x_full, plan, rngs):
             stacks.append(len(rngs))
-            return fit_splits(dataset, x_full, n_train, rngs)
+            return fit_splits(dataset, x_full, plan, rngs)
 
         monkeypatch.setattr(gof, "_fit_splits", record_stack)
         monkeypatch.setattr(gof, "_STACK_ROWS", 7 * 140 + 139)
@@ -663,9 +675,9 @@ class TestMultiSplit:
         fit_splits, search_index = gof._fit_splits, gof._search_index
         stacks, indexes = [], []
 
-        def record_stack(dataset, x_full, n_train, rngs):
+        def record_stack(dataset, x_full, plan, rngs):
             stacks.append(len(rngs))
-            return fit_splits(dataset, x_full, n_train, rngs)
+            return fit_splits(dataset, x_full, plan, rngs)
 
         def record_index(*args):
             indexes.append(search_index(*args))
@@ -694,7 +706,9 @@ class TestMultiSplit:
         ds = generate(spec, RandomSource(12).child("data"))
         rng = RandomSource(12).child("m")
         rngs = [rng.child(("split", i)) for i in range(7)]
-        train, test, fits = gof._fit_splits(ds, design_matrix(ds, spec.model_b), 150, rngs)
+        # a plan of 150 training rows and a start from zero
+        train, test, fits = gof._fit_splits(ds, design_matrix(ds, spec.model_b),
+                                            (150, None, None, None), rngs)
         assert train.shape == (7, 150) and test.shape == (7, 50) and len(fits) == 7
         for i in range(7):
             perm = rng.child(("split", i)).permutation(ds.n)
