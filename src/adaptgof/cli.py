@@ -175,6 +175,18 @@ def _default_seed(value) -> int:
     return int(seed)
 
 
+def _at_least(flag: str, value, low: int) -> None:
+    """Raise CliError naming ``flag`` unless ``value`` is None (its default) or at least ``low``."""
+    if value is not None and value < low:
+        raise CliError(f"{flag} must be at least {low}, got {value}")
+
+
+def _check_alpha(alpha: float) -> None:
+    # the negated test also catches nan
+    if not 0.0 < alpha < 1.0:
+        raise CliError(f"--alpha must lie strictly between 0 and 1, got {alpha}")
+
+
 def _partition_settings(mode: str) -> tuple:
     """Split a --partition flag into (partition_by, score_column)."""
     if mode == "covariates":
@@ -206,9 +218,11 @@ def run_test_command(args) -> int:
     """``test`` and ``diagnose``: ``diagnose`` always prints the ranking."""
     if args.train_size is not None and args.train_fraction is not None:
         raise CliError("--train-size and --train-fraction are alternatives; pass at most one")
-    if args.top < 0:
-        raise CliError(f"--top must be at least 0, got {args.top}")
-    # the negated test also catches nan
+    _at_least("--top", args.top, 0)
+    _at_least("--k", args.k, 2)
+    _at_least("--n-min", args.n_min, 1)
+    _at_least("--splits", args.splits, 1)
+    _check_alpha(args.alpha)
     if args.train_fraction is not None and not 0.0 < args.train_fraction < 1.0:
         raise CliError(f"--train-fraction must lie strictly between 0 and 1, "
                        f"got {args.train_fraction}")
@@ -272,6 +286,7 @@ def run_test_command(args) -> int:
 
 
 def run_hl_command(args) -> int:
+    _at_least("--groups", args.groups, 3)
     run_config = _run_config(args)
     dataset = parse_csv(args.input, args.response)
     try:
@@ -310,12 +325,9 @@ def run_hl_command(args) -> int:
 def run_experiment_command(args) -> int:
     if args.setting not in SETTINGS:
         raise CliError(f"unknown setting {args.setting!r}; choose from {', '.join(SETTINGS)}")
-    if args.reps < 1:
-        raise CliError("--reps must be at least 1")
-    if args.splits < 1:
-        raise CliError("--splits must be at least 1")
-    if not 0.0 < args.alpha < 1.0:
-        raise CliError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
+    _at_least("--reps", args.reps, 1)
+    _at_least("--splits", args.splits, 1)
+    _check_alpha(args.alpha)
     seed = _default_seed(args.seed)
 
     # every flag given goes to make_setting, which rejects one the design does not take

@@ -33,9 +33,10 @@ returned as ``FittedGlm.fitted_prob``.
 The fit works on the transposed design, a row-contiguous p x n array, so the
 candidate predictors, the gradient and X'WX are products over rows of length
 n. ``formula.design_matrix`` builds its values column-major, which makes that
-transpose a view; any other design is copied once per fit. Each step solves
-its normal equations by plain Cholesky factorisation; a numerically singular
-system raises ``RankDeficiencyError``.
+transpose a view; any other design is copied once per fit. Each step checks
+its normal equations by Cholesky factorisation, where a numerically singular
+system raises ``RankDeficiencyError``, and solves them with
+``np.linalg.solve`` (LU, LAPACK ``gesv``): the module needs numpy alone.
 
 There is one IRLS loop, ``_fit_stack``, written over a leading split axis: it
 fits s splits of equal shape (s x p x n) in lockstep, so a test's split loop
@@ -54,7 +55,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 __all__ = [
     "DesignMatrix",
@@ -200,37 +200,20 @@ def _weighted_gram(xt: np.ndarray, prob: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _triangular_solves(upper: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve U' U z = b for an upper-triangular, Fortran-ordered U.
-
-    These are the LAPACK calls ``scipy.linalg.solve_triangular`` makes for
-    ``solve_triangular(U.T, b, lower=True)`` and then ``solve_triangular(U, z)``,
-    without its per-call validation.
-    """
-    z, info = lapack.dtrtrs(upper, b, lower=0, trans=1)
-    if info == 0:
-        z, info = lapack.dtrtrs(upper, z, lower=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK info {info})")
-    return z
-
-
 def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a symmetric positive-definite system, or a stack of them, by Cholesky.
+    """Solve a symmetric positive-definite system, or a stack of them.
 
-    ``a`` is p x p or s x p x p, ``b`` p or s x p. The stack is factorised in
-    one call; each factor is applied by its own pair of triangular solves, the
-    arithmetic of a lone system. Raises RankDeficiencyError when any
-    factorisation fails or the ratio of its smallest to its largest squared
-    pivot is below ``_PIVOT_RTOL``.
+    ``a`` is p x p or s x p x p, ``b`` p or s x p. The Cholesky factorisation
+    of the stack, in one call, is the singularity check: it raises
+    RankDeficiencyError when any factorisation fails or the ratio of its
+    smallest to its largest squared pivot is below ``_PIVOT_RTOL``. The stack
+    is then solved in one ``np.linalg.solve``, one LAPACK ``gesv`` per system,
+    so a system's solution does not depend on the stack it is in.
     """
     try:
-        chol = np.linalg.cholesky(a)
-        d = np.diagonal(chol, axis1=-2, axis2=-1)
+        d = np.diagonal(np.linalg.cholesky(a), axis1=-2, axis2=-1)
         if (d.min(axis=-1) ** 2 >= _PIVOT_RTOL * d.max(axis=-1) ** 2).all():
-            p = b.shape[-1]
-            pairs = zip(chol.reshape(-1, p, p), b.reshape(-1, p))
-            return np.array([_triangular_solves(c.T, r) for c, r in pairs]).reshape(b.shape)
+            return np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
         pass
     raise RankDeficiencyError(

@@ -1,11 +1,14 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adaptgof
 from adaptgof import RandomSource, parse_formula
 from adaptgof.cli import CliError, main, parse_csv
 from adaptgof.sim import generate, make_setting
@@ -29,6 +32,28 @@ def setting1_csv(tmp_path, n=1000, seed=21):
     path = tmp_path / "s1.csv"
     write_dataset_csv(ds, path)
     return str(path)
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # in a fresh interpreter, neither importing the package nor running an
+    # experiment (simulated data, fits, the quantile-binned and adaptive
+    # tests and their p-values: the code of every command) loads scipy
+    script = f"""
+import sys
+import adaptgof, adaptgof.cli
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "scipy on import"
+code = adaptgof.cli.main(["experiment", "--setting", "3", "--n", "200", "--reps", "1",
+                          "--splits", "2", "--seed", "1", "--outdir", {str(tmp_path)!r}])
+assert code == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+    src = str(Path(adaptgof.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 class TestParseCsv:
@@ -293,8 +318,24 @@ class TestTestCommand:
                      "--k", "1", "--partition", partition, "--splits", "5"])
         captured = capsys.readouterr()
         assert code == 1
-        assert "k must be at least 2" in captured.err
+        assert "error: --k must be at least 2, got 1" in captured.err
         assert "INCONCLUSIVE" not in captured.out
+
+    @pytest.mark.parametrize("command", ["test", "diagnose"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--k", "1", "--k must be at least 2, got 1"),
+        ("--n-min", "0", "--n-min must be at least 1, got 0"),
+        ("--splits", "0", "--splits must be at least 1, got 0"),
+        ("--alpha", "2", "--alpha must lie strictly between 0 and 1, got 2.0"),
+    ])
+    def test_bad_flag_is_named_before_the_input_is_read(self, tmp_path, capsys, command,
+                                                          flag, value, message):
+        code = main([command, "--input", str(tmp_path / "missing.csv"), "--response", "y",
+                     "--formula", "x1", flag, value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("partition", ["covariates", "mta-prob", "score:s"])
     def test_n_min_below_one_is_an_error(self, tmp_path, capsys, partition):
@@ -305,7 +346,7 @@ class TestTestCommand:
                      "--n-min", "-5", "--partition", partition, "--splits", "5"])
         captured = capsys.readouterr()
         assert code == 1
-        assert "n_min must be at least 1" in captured.err
+        assert "error: --n-min must be at least 1, got -5" in captured.err
         assert "decision" not in captured.out
 
     def test_nan_in_unused_covariate_is_an_error(self, tmp_path, capsys):
@@ -474,7 +515,7 @@ class TestHlCommand:
         code = main(["hl", "--input", path, "--response", "y",
                      "--formula", "x1 + x2", "--groups", "2"])
         assert code == 1
-        assert "error: k must be at least 3" in capsys.readouterr().err
+        assert "error: --groups must be at least 3, got 2" in capsys.readouterr().err
 
     def test_report_does_not_depend_on_seed_env(self, tmp_path, monkeypatch):
         # hl draws nothing: its report echoes and hashes its own flags only

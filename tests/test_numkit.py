@@ -1,7 +1,9 @@
+import time
 import warnings
 
 import numpy as np
 import pytest
+from scipy.special import chdtrc, ndtri
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -104,6 +106,72 @@ class TestGaussianQuantile:
         for bad in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
                 gaussian_quantile(bad)
+
+
+class TestAgainstScipy:
+    """``chi2_sf`` and ``gaussian_quantile`` against scipy, a reference the tests alone import."""
+
+    def test_gaussian_quantile_is_ndtri_on_uniforms(self):
+        # the draws RandomSource.normal feeds it, floored at 1e-300 as there
+        u = np.maximum(np.random.default_rng(0).random(1_000_000), 1e-300)
+        assert np.array_equal(gaussian_quantile(u), ndtri(u))
+
+    def test_gaussian_quantile_is_ndtri_on_the_tails(self):
+        tail = np.geomspace(1e-300, 0.5, 300_001)
+        assert np.array_equal(gaussian_quantile(tail), ndtri(tail))
+        upper = 1.0 - tail[tail > 1e-16]
+        assert np.array_equal(gaussian_quantile(upper), ndtri(upper))
+
+    def test_gaussian_quantile_is_ndtri_at_the_branch_points(self):
+        points = []
+        for edge in (np.exp(-2.0), 1.0 - np.exp(-2.0)):
+            below = above = edge
+            for _ in range(8):
+                below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+                points += [below, above]
+            points.append(edge)
+        points = np.array(points)
+        assert np.array_equal(gaussian_quantile(points), ndtri(points))
+        assert all(gaussian_quantile(p) == ndtri(p) for p in points.tolist())
+
+    def test_chi2_sf_within_1e_12_of_chdtrc(self):
+        # x past 1418 underflows e^(-x/2), not the tail at large k. Against
+        # 50-digit arithmetic chi2_sf is within 1.3e-13 here: most of the
+        # gap is chdtrc's own error, up to about 1e-12 near k = 870, x = 2260
+        x = np.concatenate([np.linspace(0.0, 3000.0, 61), np.geomspace(1e-3, 3000.0, 40)])
+        checked = underflowed = 0
+        for ks in np.array_split(np.arange(1, 1001), 20):
+            got, ref = chi2_sf(x, ks[:, None]), chdtrc(ks[:, None], x)
+            seen = ref >= 1e-300
+            assert np.all(np.abs(got - ref)[seen] <= 1e-12 * ref[seen])
+            checked += seen.sum()
+            underflowed += (seen & (np.exp(-x / 2) == 0.0)).sum()
+        assert checked > 90_000 and underflowed > 20_000
+
+    def test_chi2_sf_is_at_most_one(self):
+        # an unclamped sum can round above 1 here
+        assert chi2_sf(1.5, 33) <= 1.0
+
+    def test_chi2_sf_at_zero_is_one_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert chi2_sf(0.0, 1) == 1.0
+            assert chi2_sf(np.zeros(4), np.array([1, 2, 3, 1000])).tolist() == [1.0] * 4
+            assert chi2_sf(np.array([0.0, 1e-308, 1e20, np.inf]), 3).tolist() == [1.0, 1.0, 0.0, 0.0]
+
+    def test_chi2_sf_broadcasts_a_stack(self):
+        x = np.array([0.0, 0.7, 4.0, 30.0, 2500.0])
+        k = np.array([1, 2, 7, 40])
+        out = chi2_sf(x[:, None], k[None, :])
+        assert out.shape == (5, 4)
+        assert out.tolist() == [[chi2_sf(a, b) for b in k.tolist()] for a in x.tolist()]
+        assert_allclose(out, chdtrc(k[None, :], x[:, None]), rtol=1e-12)
+
+    def test_chi2_sf_large_k_is_fast(self):
+        start = time.perf_counter()
+        out = chi2_sf(np.array([9.9e6, 1e7, 1.01e7]), 10**7)
+        assert time.perf_counter() - start < 1.0
+        assert_allclose(out, chdtrc(10**7, np.array([9.9e6, 1e7, 1.01e7])), rtol=1e-10)
 
 
 class TestEmpiricalQuantiles:
