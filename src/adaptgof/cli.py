@@ -120,9 +120,12 @@ def parse_csv(path: str, response: str, overrides: dict | None = None) -> Datase
 
 
 def _floats(values):
-    """The cells as a float array, or None when ``float`` rejects one."""
+    """The cells as a float array, or None when ``float`` rejects one.
+
+    numpy converts each cell with Python's own ``float``, in one C loop.
+    """
     try:
-        return np.array([float(v) for v in values])
+        return np.array(values, dtype=float)
     except ValueError:
         return None
 

@@ -7,9 +7,10 @@ penalty, logit link only. It converges when the gradient max-norm falls to
 1e-8 n, and then takes one closing Newton step, which lands at the MLE up to
 the rounding of the gradient: beyond rounding, a fit's result does not
 depend on where it started, so ``gof`` starts every split's fit from the
-full-data fit (a fit with rows at the clamp has no stationary point, and
-``gof`` starts none from such a fit). The test alone decides convergence;
-the closing step never changes the exit.
+full-data fit, and takes the first pass from that fit's sums minus those
+of the split's test rows (a fit with rows at the clamp has no stationary
+point, and ``gof`` starts none from such a fit). The test alone decides
+convergence; the closing step never changes the exit.
 Separation is not detected: once the fitted probabilities saturate at the
 clamp the gradient test passes, so a separated fit usually ends
 ``converged=True`` with extreme coefficients: with x = 0, 1, 2, 3 (ten rows
@@ -200,6 +201,21 @@ def _weighted_gram(xt: np.ndarray, prob: np.ndarray) -> np.ndarray:
     return gram
 
 
+def _gradient(xt: np.ndarray, y: np.ndarray, prob: np.ndarray) -> np.ndarray:
+    """Each split's gradient X'(y - p) of the log-likelihood: (s, p, n) and (s, n) -> (s, p)."""
+    return (xt @ (y - prob)[:, :, None])[:, :, 0]
+
+
+def _pass_at(xt: np.ndarray, y: np.ndarray, beta: np.ndarray) -> tuple:
+    """What one IRLS pass reads at each split's coefficients ``beta`` (s x p).
+
+    Returns ``(prob, ll, info, grad)``: the clamped probabilities (s x n), the
+    log-likelihoods (s), X'WX (s x p x p) and the gradients X'(y - p) (s x p).
+    """
+    prob, ll = _prob_and_loglik(_linear(beta, xt), 1.0 - 2.0 * y)
+    return prob, ll, _weighted_gram(xt, prob), _gradient(xt, y, prob)
+
+
 def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a symmetric positive-definite system, or a stack of them.
 
@@ -262,7 +278,7 @@ def _halving_step(xt: np.ndarray, flip: np.ndarray, beta: np.ndarray, prob: np.n
     return cand, cand_prob, cand_ll, moved
 
 
-def _fit_stack(xt: np.ndarray, y, names: tuple, start=None) -> list:
+def _fit_stack(xt: np.ndarray, y, names: tuple, start=None, first=None) -> list:
     """Fit one logistic regression per split of a stack by IRLS, in lockstep.
 
     ``xt`` holds the splits' transposed designs as one C-contiguous float
@@ -272,7 +288,10 @@ def _fit_stack(xt: np.ndarray, y, names: tuple, start=None) -> list:
     every split. Every split starts from ``start`` (p coefficients), or from
     zero when it is None. All splits take their Newton steps together, each
     with its own step-halving, gradient stop, no-move stop and iteration
-    count.
+    count. ``first``, given with ``start``, is what the first pass reads at
+    ``start`` in the shape ``_pass_at`` returns, so that pass makes no
+    product over ``xt``: ``gof`` takes it from the full-data fit minus each
+    split's test rows. When ``first`` is None the first pass computes it.
 
     The gradient test (max |X'(y - p)| <= 1e-8 n) alone decides convergence.
     A split that passes it takes one more Newton step, its closing step, and
@@ -304,8 +323,10 @@ def _fit_stack(xt: np.ndarray, y, names: tuple, start=None) -> list:
     flip = 1.0 - 2.0 * y
     beta = np.zeros((s, p)) if start is None else np.tile(start, (s, 1))
     # prob and ll always belong to beta: an accepted candidate hands its own
-    # on, so each candidate costs one x @ beta and one exponential.
-    prob, ll = _prob_and_loglik(_linear(beta, xt), flip)
+    # on, so each candidate costs one x @ beta and one exponential. info and
+    # grad belong to beta at the top of a pass.
+    prob, ll, info, grad = _pass_at(xt, y, beta) if first is None else first
+    del first  # so that its arrays go as the passes replace them
     ll_path = [[v] for v in ll.tolist()]
     iterations = 0
     passed = np.zeros(s, dtype=bool)  # passed the gradient test: closing step taken
@@ -341,19 +362,21 @@ def _fit_stack(xt: np.ndarray, y, names: tuple, start=None) -> list:
     if single.any():
         for j in np.flatnonzero(single).tolist():
             results[j] = SingleClassError("both response classes must be present")
-        leave(single)
+        keep = leave(single)
+        info, grad = info[keep], grad[keep]
     for _ in range(_MAX_ITER):
         if split.size == 0:
             break
-        # also the information at the final coefficients of the splits that
-        # took their closing step in the last pass, which leave now
-        info = _weighted_gram(xt, prob)
-        if passed.any():
-            keep = leave(passed, info)
-            if split.size == 0:
-                break
-            info = info[keep]
-        grad = (xt @ (y - prob)[:, :, None])[:, :, 0]
+        if iterations:
+            # also the information at the final coefficients of the splits
+            # that took their closing step in the last pass, which leave now
+            info = _weighted_gram(xt, prob)
+            if passed.any():
+                keep = leave(passed, info)
+                if split.size == 0:
+                    break
+                info = info[keep]
+            grad = _gradient(xt, y, prob)
         passed = np.abs(grad).max(axis=1) <= grad_tol
         iterations += 1
         try:

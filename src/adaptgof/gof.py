@@ -21,16 +21,18 @@ Four layers, bottom to top:
   the stack is fitted by one lockstep IRLS loop (``glm._fit_stack``),
   started from the coefficients of the one full-data fit that ``_plan``
   makes per test (from zero when that fit raises, does not converge or is
-  clamped; the closing step of every fit makes the start not show), and
+  clamped; the closing step of every fit makes the start not show), whose
+  first pass is the full fit's minus that of the split's test rows, and
   scored by ``_score_stack``: one lockstep partition search
   (``partition._greedy_stack``) and one pass each for the test-row
   prediction, the group assignment (``partition._assign_stack``), the
-  statistic (``_bag_values``), its gradient (``_gradients``), the
-  correction's solve (``_corrections``) and the p-value. Each split's groups
-  and outcome stay its own. Only the fit and the search fail a split alone:
-  a partition tiles the space, so a row no group holds is a bug. Every layer
-  gives a split what it would get alone, so the report does not depend on
-  the stack size; ``single_split_test``, ``bag_statistic``,
+  statistic (``_bag_values``), its gradient (``_gradients``) and the
+  correction's solve (``_corrections``). The p-values of all splits come
+  from one ``chi2_sf`` call per test (``_with_p_values``). Each split's
+  groups and outcome stay its own. Only the fit and the search fail a split
+  alone: a partition tiles the space, so a row no group holds is a bug.
+  Every layer gives a split what it would get alone, so the report does not
+  depend on the stack size; ``single_split_test``, ``bag_statistic``,
   ``bag_gradient``, ``corrected_statistic`` and ``partition.assign_groups``
   are the one-split cases.
 
@@ -44,14 +46,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import Dataset
 from .formula import Formula, design_matrix
 from .glm import (PROB_CLAMP, DesignMatrix, FittedGlm, _check_response, _clamped_logistic,
-                  _fit_stack, _linear, fit_logistic)
+                  _fit_stack, _gradient, _linear, _pass_at, fit_logistic)
 from .numkit import RandomSource, chi2_sf, empirical_quantiles, gaussian_quantile
 from .partition import (
     Partition,
@@ -382,8 +385,24 @@ def _rule_counts(groups) -> dict:
     return dict(Counter(rule.source for group in groups for rule in group.rules))
 
 
-def _full_fit_start(x_full: DesignMatrix, y) -> np.ndarray | None:
-    """The coefficients every split's IRLS starts from: those of the full-data fit.
+class _FullFit(NamedTuple):
+    """The full-data fit, as every split's IRLS starts from it.
+
+    Its coefficients and, at them, what an IRLS pass reads over all rows: the
+    information X'WX, the gradient X'(y - p), the probabilities and the
+    log-likelihood. A split's first pass takes its own as these minus those
+    of its test rows.
+    """
+
+    coef: np.ndarray
+    info: np.ndarray
+    grad: np.ndarray
+    prob: np.ndarray
+    ll: float
+
+
+def _full_fit_start(x_full: DesignMatrix, y) -> _FullFit | None:
+    """What every split's IRLS starts from: the full-data fit.
 
     None, a start from zero, when that fit raises, does not converge or has a
     training probability at the clamp (separation, ROADMAP item 2): a
@@ -397,18 +416,20 @@ def _full_fit_start(x_full: DesignMatrix, y) -> np.ndarray | None:
     prob = fit.fitted_prob
     if not fit.converged or ((prob <= PROB_CLAMP) | (prob >= 1.0 - PROB_CLAMP)).any():
         return None
-    return fit.coef
+    xt = np.asfortranarray(x_full.values).T  # p x n, a view of a column-major design
+    grad = _gradient(xt[None], np.asarray(y, dtype=float)[None], prob[None])[0]
+    return _FullFit(fit.coef, fit.fisher_info, grad, prob, fit.log_likelihood)
 
 
 def _plan(config: TestConfig, dataset: Dataset, x_full: DesignMatrix) -> tuple:
     """What every split of one test shares.
 
-    Returns ``(n_train, index, scores, start)``. Resolves the defaults and
+    Returns ``(n_train, index, scores, full)``. Resolves the defaults and
     checks once what no split can change, so a configuration or a column that
     would fail the splits raises ``ValueError`` before the first split: sizes
     (among them a training set smaller than the design's columns) and a
     non-finite value in a continuous search column. It fits the model on all
-    rows once, and every split's IRLS starts from that fit (``start``, see
+    rows once, and every split's IRLS starts from that fit (``full``, see
     ``_full_fit_start``): the splits share most of their rows, so their MLEs
     lie close to it, and the closing step of ``glm._fit_stack`` takes each
     split's fit to its own MLE wherever it started. For the covariate search
@@ -473,42 +494,58 @@ _STACK_ROWS = 12288
 
 def _fit_splits(dataset: Dataset, x_full: DesignMatrix, plan: tuple, rngs) -> tuple:
     """Draw each split's rows from its own stream and fit all the splits as one stack,
-    from the plan's start.
+    from the plan's full-data fit.
 
-    Returns ``(train, test, fits)``: each split's training and test rows in
-    ascending order (s x n_train and s x n_test, read off one membership mask
-    of the first n_train places of each permutation) and per split its
-    ``FittedGlm`` or the exception fitting it alone raises.
+    Each split's first IRLS pass is the full fit's minus that of the split's
+    test rows at the full fit's coefficients (the one-step case deletion of
+    Pregibon, 1981): X'WX, the gradient and the log-likelihood are sums over
+    rows, and the probabilities are the full fit's own. So that pass reads
+    the test rows, a tenth of the rows at the default sizes, instead of the
+    training rows; the test design is gathered for it and kept for
+    ``_score_stack``.
+
+    Returns ``(train, test, xt_test, fits)``: each split's training and test
+    rows in ascending order (s x n_train and s x n_test, read off one
+    membership mask of the first n_train places of each permutation), the
+    transposed test designs (s x p x n_test) and per split its ``FittedGlm``
+    or the exception fitting it alone raises.
     """
-    n_train, _, _, start = plan
+    n_train, _, _, full = plan
     n, s = dataset.n, len(rngs)
     member = np.zeros((s, n), dtype=bool)
     np.put_along_axis(member, np.stack([rng.permutation(n)[:n_train] for rng in rngs]), True,
                       axis=1)
-    first = n * np.arange(s)[:, None]  # each split's first place in the flat mask
-    train = np.flatnonzero(member).reshape(s, n_train) - first
-    test = np.flatnonzero(~member).reshape(s, n - n_train) - first
-    # the fit may overwrite the stack's gathered design; a float response
-    # leaves no integer copy alive during the fit
-    return train, test, _fit_stack(_gather_rows(x_full, train), dataset.y.astype(float)[train],
-                                   x_full.names, start)
+    at = n * np.arange(s)[:, None]  # each split's first place in the flat mask
+    train = np.flatnonzero(member).reshape(s, n_train) - at
+    test = np.flatnonzero(~member).reshape(s, n - n_train) - at
+    xt_test = _gather_rows(x_full, test)
+    # the fit may overwrite the stack's gathered training design; a float
+    # response leaves no integer copy alive during the fit
+    xt, y = _gather_rows(x_full, train), dataset.y.astype(float)[train]
+    if full is None:
+        return train, test, xt_test, _fit_stack(xt, y, x_full.names)
+    _, ll, info, grad = _pass_at(xt_test, dataset.y[test], np.tile(full.coef, (s, 1)))
+    # the first pass is handed over, not kept here: the fit frees its arrays
+    # as its passes replace them
+    return train, test, xt_test, _fit_stack(xt, y, x_full.names, full.coef, (
+        full.prob[train], full.ll - ll, full.info - info, full.grad - grad))
 
 
-def _score_stack(dataset: Dataset, x_full: DesignMatrix, config: TestConfig, plan: tuple,
-                 fitted: tuple) -> list:
+def _score_stack(dataset: Dataset, config: TestConfig, plan: tuple, fitted: tuple) -> list:
     """Everything of a stack of splits after their fits, one stacked pass per layer.
 
-    ``fitted`` is what ``_fit_splits`` returns. The test rows of all splits
-    are gathered and predicted together, the covariate partitions are
+    ``fitted`` is what ``_fit_splits`` returns. The test rows of all splits,
+    gathered there, are predicted together, the covariate partitions are
     searched in lockstep (``partition._greedy_stack``) on the test's one
     search index from ``_plan``, the test rows are assigned to their groups
     in one pass (``partition._assign_stack``), and the statistic, its
-    gradient, the correction's solve and the p-value each run once for the
-    stack. Each split's rule counts and outcome stay its
-    own, and each stacked layer gives every split what it would get alone,
-    so no result depends on the stack.
+    gradient and the correction's solve each run once for the stack. Each
+    split's rule counts and outcome stay its own, and each stacked layer
+    gives every split what it would get alone, so no result depends on the
+    stack.
 
-    Returns one entry per split: its ``SplitOutcome``, or the exception the
+    Returns one entry per split: its ``SplitOutcome`` with a NaN p-value,
+    which ``_with_p_values`` fills in once per test, or the exception the
     split raises alone. Only two layers hand back failures that depend on the
     rows a split draws, each a ``ValueError``: the fit (a single response
     class, rank deficiency) and the search (an infeasible partition);
@@ -518,7 +555,7 @@ def _score_stack(dataset: Dataset, x_full: DesignMatrix, config: TestConfig, pla
     """
     n = dataset.n
     n_train, index, scores, _ = plan
-    train, test, results = fitted
+    train, test, xt_test, results = fitted
     live = [i for i, r in enumerate(results) if not isinstance(r, Exception)]
     if not live:
         return results
@@ -529,10 +566,9 @@ def _score_stack(dataset: Dataset, x_full: DesignMatrix, config: TestConfig, pla
     # ran 8% slower.
     results = list(results)
     if len(live) < len(results):
-        train, test = train[live], test[live]
+        train, test, xt_test = train[live], test[live], xt_test[live]
     models = [results[i] for i in live]
     coef = np.stack([m.coef for m in models])
-    xt_test = _gather_rows(x_full, test)
     phat_test = _clamped_logistic(_linear(coef, xt_test))
 
     if index is not None:
@@ -562,9 +598,7 @@ def _score_stack(dataset: Dataset, x_full: DesignMatrix, config: TestConfig, pla
     corrs = _corrections([b.statistic for b in bags],
                          np.stack([models[j].fisher_info for j in at]),
                          _gradients(coef, xt_test, y_test, groups))
-    p_values = chi2_sf(np.array([c.adjusted for c in corrs]),
-                       np.array([b.realized_k for b in bags])).tolist()
-    for j, bag, corr, p_value in zip(at, bags, corrs, p_values):
+    for j, bag, corr in zip(at, bags, corrs):
         i, part = live[j], parts[j]
         max_group = int(np.argmax(bag.contributions))
         results[i] = SplitOutcome(
@@ -572,7 +606,7 @@ def _score_stack(dataset: Dataset, x_full: DesignMatrix, config: TestConfig, pla
             adjusted=corr.adjusted,
             se=corr.se,
             realized_k=bag.realized_k,
-            p_value=p_value,
+            p_value=math.nan,
             partition=part,
             counts_all=_rule_counts(part.groups),
             counts_max_group=_rule_counts(part.groups[max_group:max_group + 1]),
@@ -582,6 +616,22 @@ def _score_stack(dataset: Dataset, x_full: DesignMatrix, config: TestConfig, pla
             test_n=n - n_train,
         )
     return results
+
+
+def _with_p_values(outcomes: list) -> list:
+    """The outcomes with every scored split's p-value, from one ``chi2_sf`` call.
+
+    Each split's p-value is the chi-squared tail of its adjusted statistic at
+    its realized group count; ``chi2_sf`` sums each value's terms on their
+    own, so a p-value does not depend on the others. Exceptions pass through.
+    """
+    scored = [i for i, o in enumerate(outcomes) if isinstance(o, SplitOutcome)]
+    p_values = chi2_sf(np.array([outcomes[i].adjusted for i in scored]),
+                       np.array([outcomes[i].realized_k for i in scored])).tolist()
+    outcomes = list(outcomes)
+    for i, p_value in zip(scored, p_values):
+        outcomes[i] = replace(outcomes[i], p_value=p_value)
+    return outcomes
 
 
 def single_split_test(
@@ -601,7 +651,8 @@ def single_split_test(
     """
     x_full = design_matrix(dataset, mta)
     plan = _plan(config, dataset, x_full)
-    [out] = _score_stack(dataset, x_full, config, plan, _fit_splits(dataset, x_full, plan, [rng]))
+    [out] = _with_p_values(_score_stack(dataset, config, plan,
+                                        _fit_splits(dataset, x_full, plan, [rng])))
     if isinstance(out, Exception):
         raise out
     return out
@@ -675,14 +726,13 @@ def multi_split_test(
     per_stack = max(1, _STACK_ROWS // max(plan[0], dataset.n - plan[0]))
     # stacks of even size: a short last stack would pay a whole stack's overhead
     per_stack = -(-config.splits // -(-config.splits // per_stack))
-    outcomes = []
+    scored = []
     for lo in range(0, config.splits, per_stack):
         rngs = [rng.child(("split", i)) for i in range(lo, min(lo + per_stack, config.splits))]
         fitted = _fit_splits(dataset, x_full, plan, rngs)
-        for out in _score_stack(dataset, x_full, config, plan, fitted):
-            if isinstance(out, Exception):
-                out = SplitOutcome.failure(f"{type(out).__name__}: {out}")
-            outcomes.append(out)
+        scored += _score_stack(dataset, config, plan, fitted)
+    outcomes = [SplitOutcome.failure(f"{type(out).__name__}: {out}")
+                if isinstance(out, Exception) else out for out in _with_p_values(scored)]
 
     usable = [o for o in outcomes if o.usable]
     n_failed = config.splits - len(usable)

@@ -93,7 +93,7 @@ def chi2_sf(x, k):
     k = 1e7, the largest errors in tails near 1e-295.
 
     Accepts scalars (returning a float) or arrays that broadcast together,
-    such as the p-values of a stack of splits; ``k`` is truncated to an
+    such as the p-values of all splits of a test; ``k`` is truncated to an
     integer.
 
     Raises:

@@ -10,7 +10,7 @@ import pytest
 
 import adaptgof
 from adaptgof import RandomSource, parse_formula
-from adaptgof.cli import CliError, main, parse_csv
+from adaptgof.cli import CliError, _floats, main, parse_csv
 from adaptgof.sim import generate, make_setting
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -178,6 +178,23 @@ class TestParseCsv:
         ds = parse_csv(str(path), "y")
         assert ds.y.dtype == np.int64
         assert ds.y.tolist() == [1, 0, 0, 1]
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662\u0663", " 1.5\t", "infinity",
+                                      "-NaN", "1e500", "0x1p3", "1__0", "nan(1)"])
+    def test_cells_convert_as_python_float_does(self, cell):
+        # numpy's conversion is Python's float: the same value, sign and NaN
+        # bits, or the same rejection (None), alone and inside a column
+        try:
+            want = np.array([float(cell)])
+        except ValueError:
+            want = None
+        for cells, at in (([cell], 0), (["0.5", cell, "2"], 1)):
+            got = _floats(cells)
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == np.float64 and got.shape == (len(cells),)
+                assert got[at:at + 1].tobytes() == want.tobytes()
 
     def test_quoted_commas(self, tmp_path):
         path = tmp_path / "quoted.csv"

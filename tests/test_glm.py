@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from adaptgof import (
+    Dataset,
     DesignMatrix,
     FittedGlm,
     RandomSource,
@@ -17,6 +18,7 @@ from adaptgof import (
     fit_logistic,
     generate,
     make_setting,
+    parse_formula,
     predict_prob,
 )
 from adaptgof import glm, gof
@@ -513,18 +515,32 @@ class TestSolveSpd:
         glm._solve_spd(a, b)
 
 
+def _split_streams(seed, draws):
+    """The random streams of splits ``draws`` of a test, as ``multi_split_test`` makes them."""
+    rng = RandomSource(seed).child("m")
+    return [rng.child(("split", i)) for i in draws]
+
+
 def _split_fit_case(setting, n, seed, draws):
     """The designs, responses and training rows of ``draws`` splits of a test on
     generated data, drawn as ``multi_split_test`` draws them."""
     spec = make_setting(setting, n)
     ds = generate(spec, RandomSource(seed))
-    rng = RandomSource(seed).child("m")
     n_train = gof.default_train_size(n, 5)
-    trains = [np.sort(rng.child(("split", i)).permutation(n)[:n_train]) for i in draws]
+    trains = [np.sort(r.permutation(n)[:n_train]) for r in _split_streams(seed, draws)]
     return spec, ds, trains
 
 
-def _fit_stack_from(x, y, trains, start):
+def _fit_stack_from(ds, x, streams, full, n_train=None):
+    """The fits of the splits drawn from ``streams`` as ``gof._fit_splits`` makes them,
+    from the plan's full-data fit ``full`` (None: from zero)."""
+    n_train = gof.default_train_size(ds.n, 5) if n_train is None else n_train
+    return gof._fit_splits(ds, x, (n_train, None, None, full), streams)[3]
+
+
+def _fit_direct(x, y, trains, start):
+    """``glm._fit_stack`` on the training rows from the coefficients ``start``, its
+    first pass computed over those rows."""
     xt = np.ascontiguousarray(np.stack([x.values[t].T for t in trains]))
     return glm._fit_stack(xt, np.stack([y[t] for t in trains]).astype(float), x.names, start)
 
@@ -606,23 +622,83 @@ class TestClosingStep:
 class TestWarmStart:
     """A split's fit from the full-data fit is its fit from zero, to rounding."""
 
+    def assert_downdated_is_direct(self, down, direct):
+        assert (_exit(down), down.iterations) == (_exit(direct), direct.iterations)
+        _assert_near(down.coef, direct.coef, 1e-12)
+        _assert_near(down.fisher_info, direct.fisher_info, 1e-12)
+
     @pytest.mark.parametrize("setting", SETTINGS)
     def test_the_start_does_not_show(self, setting):
         started = 0
         for n, seed in ((500, 0), (1000, 1)):
-            spec, ds, trains = _split_fit_case(setting, n, seed, range(5))
+            spec, ds, _ = _split_fit_case(setting, n, seed, range(5))
             for formula in (spec.model_a, spec.model_b):
                 x = design_matrix(ds, formula)
-                start = gof._full_fit_start(x, ds.y)
-                started += start is not None
-                warm = _fit_stack_from(x, ds.y, trains, start)
-                cold = _fit_stack_from(x, ds.y, trains, None)
+                full = gof._full_fit_start(x, ds.y)
+                started += full is not None
+                warm = _fit_stack_from(ds, x, _split_streams(seed, range(5)), full)
+                cold = _fit_stack_from(ds, x, _split_streams(seed, range(5)), None)
                 for w, c in zip(warm, cold):
                     assert _exit(w) == _exit(c)
                     if not isinstance(c, Exception):
                         _assert_near(w.coef, c.coef, 1e-12)
         # only nn-example's model A, whose full fit is clamped, starts from zero
         assert started == (2 if setting == "nn-example" else 4)
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_the_downdated_first_pass_is_the_direct_one(self, setting, monkeypatch):
+        # the first pass from the full fit minus the test rows, against the
+        # first pass over the training rows from the same coefficients
+        passes = []
+
+        def record(xt, y, names, start=None, first=None):
+            if first is not None:
+                passes.append((first, glm._pass_at(xt, y, np.tile(start, (len(xt), 1)))))
+            return glm._fit_stack(xt, y, names, start, first)
+
+        monkeypatch.setattr(gof, "_fit_stack", record)
+        for n, seed in ((500, 0), (1000, 1)):
+            spec, ds, trains = _split_fit_case(setting, n, seed, range(5))
+            for formula in (spec.model_a, spec.model_b):
+                x = design_matrix(ds, formula)
+                full = gof._full_fit_start(x, ds.y)
+                if full is None:
+                    continue
+                down = _fit_stack_from(ds, x, _split_streams(seed, range(5)), full)
+                direct = _fit_direct(x, ds.y, trains, full.coef)
+                for i, (d, w) in enumerate(zip(down, direct)):
+                    self.assert_downdated_is_direct(d, w)
+                    [alone] = _fit_stack_from(ds, x, _split_streams(seed, [i]), full)
+                    _assert_identical_fits(alone, d)
+        assert passes
+        for first, want in passes:
+            for got, arr in zip(first, want):
+                _assert_near(got, arr, 1e-12)
+
+    def test_a_single_class_split_in_a_warm_stack(self):
+        # 3 ones in 60 rows and 30 training rows: splits 0, 2 and 4 of these
+        # 12 draw no one, and leave the warm stack before its first pass
+        rng = np.random.default_rng(3)
+        x1 = rng.uniform(size=60)
+        y = np.zeros(60, dtype=int)
+        y[np.argsort(x1)[[20, 35, 50]]] = 1
+        ds = Dataset(y=y, columns={"x1": x1}, kinds={"x1": "continuous"})
+        x = design_matrix(ds, parse_formula("x1"))
+        full = gof._full_fit_start(x, ds.y)
+        assert full is not None
+        down = _fit_stack_from(ds, x, _split_streams(10, range(12)), full, n_train=30)
+        trains = [np.sort(r.permutation(60)[:30]) for r in _split_streams(10, range(12))]
+        direct = _fit_direct(x, ds.y, trains, full.coef)
+        single = [i for i, d in enumerate(down) if isinstance(d, SingleClassError)]
+        assert single == [i for i, w in enumerate(direct) if isinstance(w, SingleClassError)]
+        assert single == [0, 2, 4]
+        for i, (d, w) in enumerate(zip(down, direct)):
+            [alone] = _fit_stack_from(ds, x, _split_streams(10, [i]), full, n_train=30)
+            if i in single:
+                assert isinstance(alone, SingleClassError)
+                continue
+            self.assert_downdated_is_direct(d, w)
+            _assert_identical_fits(alone, d)
 
     def test_a_clamped_full_fit_gives_no_start(self):
         spec, ds, trains = _split_fit_case("nn-example", 500, 0, range(5))
@@ -632,9 +708,15 @@ class TestWarmStart:
         assert gof._full_fit_start(x, ds.y) is None
         plan = gof._plan(gof.TestConfig(partition_by="mta-prob"), ds, x)
         assert plan[3] is None
-        # started from the clamped fit, split fits stop elsewhere on the flat
-        # likelihood of their clamped rows
-        warm = _fit_stack_from(x, ds.y, trains, full.coef)
-        cold = _fit_stack_from(x, ds.y, trains, None)
-        assert max(np.max(np.abs(w.coef - c.coef)) / np.max(np.abs(c.coef))
-                   for w, c in zip(warm, cold)) > 1e-9
+        # started from the clamped fit, with its first pass downdated or
+        # direct, split fits stop elsewhere on the flat likelihood of their
+        # clamped rows
+        xt = np.asfortranarray(x.values).T[None]
+        grad = glm._gradient(xt, ds.y.astype(float)[None], full.fitted_prob[None])[0]
+        clamped = gof._FullFit(full.coef, full.fisher_info, grad, full.fitted_prob,
+                               full.log_likelihood)
+        cold = _fit_stack_from(ds, x, _split_streams(0, range(5)), None)
+        for warm in (_fit_stack_from(ds, x, _split_streams(0, range(5)), clamped),
+                     _fit_direct(x, ds.y, trains, full.coef)):
+            assert max(np.max(np.abs(w.coef - c.coef)) / np.max(np.abs(c.coef))
+                       for w, c in zip(warm, cold)) > 1e-9

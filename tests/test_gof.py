@@ -31,7 +31,7 @@ from adaptgof.gof import (
     bag_gradient,
     decision_threshold,
 )
-from adaptgof.numkit import empirical_quantiles
+from adaptgof.numkit import chi2_sf, empirical_quantiles
 from adaptgof.data import Dataset
 from adaptgof.formula import design_matrix, parse_formula
 from adaptgof.glm import RankDeficiencyError, SingleClassError
@@ -690,6 +690,25 @@ class TestMultiSplit:
         assert stacks == [34, 34, 32]
         assert len(indexes) == 1
 
+    def test_one_p_value_call_per_test(self, monkeypatch):
+        # 100 splits of 150 training rows in stacks of 34, 34 and 32, with
+        # every p-value bit for bit the tail of its split alone
+        spec = make_setting("1", 200, beta3=0.651)
+        ds = generate(spec, RandomSource(10).child("data"))
+        calls = []
+
+        def record_chi2_sf(x, k):
+            calls.append(np.size(x))
+            return chi2_sf(x, k)
+
+        monkeypatch.setattr(gof, "chi2_sf", record_chi2_sf)
+        monkeypatch.setattr(gof, "_STACK_ROWS", 40 * 150)
+        report = multi_split_test(ds, spec.model_b, TestConfig(splits=100),
+                                  RandomSource(10).child("m"))
+        scored = [o for o in report.outcomes if not o.failed]
+        assert calls == [len(scored)] and len(scored) > 90
+        assert [o.p_value for o in scored] == [chi2_sf(o.adjusted, o.realized_k) for o in scored]
+
     def test_programming_errors_propagate(self, monkeypatch):
         spec = make_setting("1", 200, beta3=0.651)
         ds = generate(spec, RandomSource(10).child("data"))
@@ -707,9 +726,10 @@ class TestMultiSplit:
         rng = RandomSource(12).child("m")
         rngs = [rng.child(("split", i)) for i in range(7)]
         # a plan of 150 training rows and a start from zero
-        train, test, fits = gof._fit_splits(ds, design_matrix(ds, spec.model_b),
-                                            (150, None, None, None), rngs)
+        x = design_matrix(ds, spec.model_b)
+        train, test, xt_test, fits = gof._fit_splits(ds, x, (150, None, None, None), rngs)
         assert train.shape == (7, 150) and test.shape == (7, 50) and len(fits) == 7
+        assert np.array_equal(xt_test, x.values[test].transpose(0, 2, 1))
         for i in range(7):
             perm = rng.child(("split", i)).permutation(ds.n)
             assert np.array_equal(train[i], np.sort(perm[:150]))

@@ -58,6 +58,18 @@ class TestChi2Sf:
         # higher about 8% of the time, so compare to rel 1e-12
         assert lower <= upper * (1.0 + 1e-12)
 
+    def test_a_value_in_an_array_is_the_value_alone(self):
+        # each value's terms are summed on their own, so the p-values of a
+        # whole test, in one call, are bit for bit those of one call each
+        rng = np.random.default_rng(7)
+        ks = np.concatenate([rng.integers(1, 12, size=250), [1, 2, 3, 100, 1000, 10**6]])
+        xs = np.concatenate([rng.exponential(8.0, size=250), [0.0, 1e-300, 3.8415, 150.0, 900.0,
+                                                              1e6]])
+        for size in (1, 2, 3, 7, 8, 9, 100, xs.size):
+            got = chi2_sf(xs[:size], ks[:size])
+            want = [chi2_sf(float(x), int(k)) for x, k in zip(xs[:size], ks[:size])]
+            assert got.tolist() == want
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             chi2_sf(-0.1, 3)
