@@ -206,8 +206,7 @@ def _partition_settings(mode: str) -> tuple:
 def _write_json(path: str, payload: dict) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(payload, indent=2) + "\n")
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc
 

@@ -19,22 +19,23 @@ Four layers, bottom to top:
   splits, evened out so that no short last stack pays a whole stack's
   overhead: the rows of a stack's splits are drawn from their own streams,
   the stack is fitted by one lockstep IRLS loop (``glm._fit_stack``),
-  started from the coefficients of the one full-data fit that ``_plan``
-  makes per test (from zero when that fit raises, does not converge or is
-  clamped; the closing step of every fit makes the start not show), whose
-  first pass is the full fit's minus that of the split's test rows, and
-  scored by ``_score_stack``: one lockstep partition search
-  (``partition._greedy_stack``) and one pass each for the test-row
-  prediction, the group assignment (``partition._assign_stack``), the
-  statistic (``_bag_values``), its gradient (``_gradients``) and the
-  correction's solve (``_corrections``). The p-values of all splits come
-  from one ``chi2_sf`` call per test (``_with_p_values``). Each split's
-  groups and outcome stay its own. Only the fit and the search fail a split
-  alone: a partition tiles the space, so a row no group holds is a bug.
-  Every layer gives a split what it would get alone, so the report does not
-  depend on the stack size; ``single_split_test``, ``bag_statistic``,
-  ``bag_gradient``, ``corrected_statistic`` and ``partition.assign_groups``
-  are the one-split cases.
+  started from the coefficients of the one full-data fit in the ``_Plan``
+  that ``_plan`` makes per test (from zero when that fit raises, does not
+  converge or is clamped; the closing step of every fit makes the start not
+  show), whose first pass is the full fit's minus that of the split's test
+  rows. ``_score_stack`` scores the fitted ``_Stack`` one call per layer:
+  the test-row prediction, the lockstep search (``_search``), the group
+  assignment (``_assign``), the statistic (``_bag_values``), its gradient
+  (``_gradients``) and the correction's solve (``_corrections``), on the
+  splits that ``_narrow`` keeps after the fit and after the search. The
+  p-values of all splits come from one ``chi2_sf`` call per test
+  (``_with_p_values``). Each split's groups and outcome stay its own. Only
+  the fit and the search fail a split alone: a partition tiles the space,
+  so a row no group holds is a bug. Every layer gives a split what it would
+  get alone, so the report does not depend on the stack size;
+  ``single_split_test``, ``bag_statistic``, ``bag_gradient``,
+  ``corrected_statistic`` and ``partition.assign_groups`` are the one-split
+  cases.
 
 Underfit diagnosis: every rule of every selected group counts once for its
 covariate ({x1 <= a & x2 > b & x2 <= c} counts x1 once and x2 twice);
@@ -421,23 +422,28 @@ def _full_fit_start(x_full: DesignMatrix, y) -> _FullFit | None:
     return _FullFit(fit.coef, fit.fisher_info, grad, prob, fit.log_likelihood)
 
 
-def _plan(config: TestConfig, dataset: Dataset, x_full: DesignMatrix) -> tuple:
-    """What every split of one test shares.
+class _Plan(NamedTuple):
+    """What every split of one test shares, as ``_plan`` makes it."""
 
-    Returns ``(n_train, index, scores, full)``. Resolves the defaults and
-    checks once what no split can change, so a configuration or a column that
-    would fail the splits raises ``ValueError`` before the first split: sizes
-    (among them a training set smaller than the design's columns) and a
-    non-finite value in a continuous search column. It fits the model on all
-    rows once, and every split's IRLS starts from that fit (``full``, see
-    ``_full_fit_start``): the splits share most of their rows, so their MLEs
-    lie close to it, and the closing step of ``glm._fit_stack`` takes each
-    split's fit to its own MLE wherever it started. For the covariate search
-    it builds the one search index of the test over all rows
-    (``partition._search_index``), out of which each split filters its
-    training rows; ``index`` is None in the other modes. For
-    ``partition_by="score"`` it reads and range-checks the score column once
-    (``scores``).
+    n_train: int
+    index: object              # ``partition._search_index``; None unless partition_by="covariates"
+    scores: np.ndarray | None  # the score column; None unless partition_by="score"
+    full: _FullFit | None      # ``_full_fit_start``: None starts every split from zero
+
+
+def _plan(config: TestConfig, dataset: Dataset, x_full: DesignMatrix) -> _Plan:
+    """Resolve the defaults of one test and check once what no split can change.
+
+    A configuration or a column that would fail the splits raises
+    ``ValueError`` before the first split: sizes (among them a training set
+    smaller than the design's columns) and a non-finite value in a continuous
+    search column. It fits the model on all rows once, and every split's IRLS
+    starts from that fit (``full``): the splits share most of their rows, so
+    their MLEs lie close to it, and the closing step of ``glm._fit_stack``
+    takes each split's fit to its own MLE wherever it started. For the
+    covariate search it builds the one search index of the test over all
+    rows, out of which each split filters its training rows; for
+    ``partition_by="score"`` it reads and range-checks the score column once.
     """
     n = dataset.n
     n_min = config.n_min if config.n_min is not None else n // 10
@@ -461,7 +467,7 @@ def _plan(config: TestConfig, dataset: Dataset, x_full: DesignMatrix) -> tuple:
         disc = config.discrete if config.discrete is not None else dataset.discrete_names
         pcfg = PartitionConfig(k=config.k, n_min=n_min, continuous=cont, discrete=disc)
         index = _search_index(dataset.columns, pcfg)  # raises on a non-finite value
-    return n_train, index, scores, _full_fit_start(x_full, dataset.y)
+    return _Plan(n_train, index, scores, _full_fit_start(x_full, dataset.y))
 
 
 def _gather_rows(x: DesignMatrix, rows) -> np.ndarray:
@@ -475,24 +481,24 @@ def _gather_rows(x: DesignMatrix, rows) -> np.ndarray:
 
 
 # Rows per stack of splits, counted by the larger of a split's training and
-# test halves (the training half, unless a split trains on fewer than half the
-# rows). A stack is fitted by one lockstep IRLS loop and scored by one
-# lockstep search, one group assignment and one pass per statistic layer, so
-# their per-call overhead is paid once per stack. Measured on one experiment
-# replication of setting 3 at n = 500 (425 training rows, 100 splits per test;
-# benchmark reference seconds, one CPU, medians of 4 alternated 20 s runs):
-# 0.147 s in stacks of 19 (8,192 rows), 0.119 s in stacks of 25 (12,288),
-# 0.114 s in stacks of 34 (16,384) and 0.115 s in two of 50 (24,576), at a
-# peak memory of 69.4, 69.7, 70.7 and 72.7 MB; 8 later alternated 30 s runs
-# put 12,288 at 70.1 MB against 69.4 MB for 8,192. 12,288 is the largest of
-# these within 1 MB of stacks of 19. Splits of 18,000 training rows stay one
-# per stack below 36,000: two per stack made a test on 20,000 rows with the
-# covariate search 8.8% slower. A constant, not an option: it only routes
-# work, and no result depends on it.
+# test halves. A stack pays each layer's per-call overhead once, and 12,288
+# rows was the fastest budget within 1 MB of the peak memory of smaller
+# stacks; at 18,000 training rows a stack holds one split, as two were slower
+# (timings in CHANGES.md). A constant, not an option: it only routes work,
+# and no result depends on it.
 _STACK_ROWS = 12288
 
 
-def _fit_splits(dataset: Dataset, x_full: DesignMatrix, plan: tuple, rngs) -> tuple:
+class _Stack(NamedTuple):
+    """A stack of s splits after their fits, as ``_fit_splits`` makes it."""
+
+    train: np.ndarray    # each split's training rows in ascending order, s x n_train
+    test: np.ndarray     # each split's test rows in ascending order, s x n_test
+    xt_test: np.ndarray  # each split's transposed test design, s x p x n_test
+    fits: list           # each split's ``FittedGlm``, or the exception fitting it alone raises
+
+
+def _fit_splits(dataset: Dataset, x_full: DesignMatrix, plan: _Plan, rngs) -> _Stack:
     """Draw each split's rows from its own stream and fit all the splits as one stack,
     from the plan's full-data fit.
 
@@ -502,16 +508,10 @@ def _fit_splits(dataset: Dataset, x_full: DesignMatrix, plan: tuple, rngs) -> tu
     rows, and the probabilities are the full fit's own. So that pass reads
     the test rows, a tenth of the rows at the default sizes, instead of the
     training rows; the test design is gathered for it and kept for
-    ``_score_stack``.
-
-    Returns ``(train, test, xt_test, fits)``: each split's training and test
-    rows in ascending order (s x n_train and s x n_test, read off one
-    membership mask of the first n_train places of each permutation), the
-    transposed test designs (s x p x n_test) and per split its ``FittedGlm``
-    or the exception fitting it alone raises.
+    ``_score_stack``. Each split's rows are read off one membership mask of
+    the first n_train places of its permutation.
     """
-    n_train, _, _, full = plan
-    n, s = dataset.n, len(rngs)
+    n, s, n_train, full = dataset.n, len(rngs), plan.n_train, plan.full
     member = np.zeros((s, n), dtype=bool)
     np.put_along_axis(member, np.stack([rng.permutation(n)[:n_train] for rng in rngs]), True,
                       axis=1)
@@ -523,26 +523,49 @@ def _fit_splits(dataset: Dataset, x_full: DesignMatrix, plan: tuple, rngs) -> tu
     # response leaves no integer copy alive during the fit
     xt, y = _gather_rows(x_full, train), dataset.y.astype(float)[train]
     if full is None:
-        return train, test, xt_test, _fit_stack(xt, y, x_full.names)
+        return _Stack(train, test, xt_test, _fit_stack(xt, y, x_full.names))
     _, ll, info, grad = _pass_at(xt_test, dataset.y[test], np.tile(full.coef, (s, 1)))
     # the first pass is handed over, not kept here: the fit frees its arrays
     # as its passes replace them
-    return train, test, xt_test, _fit_stack(xt, y, x_full.names, full.coef, (
-        full.prob[train], full.ll - ll, full.info - info, full.grad - grad))
+    return _Stack(train, test, xt_test, _fit_stack(xt, y, x_full.names, full.coef, (
+        full.prob[train], full.ll - ll, full.info - info, full.grad - grad)))
 
 
-def _score_stack(dataset: Dataset, config: TestConfig, plan: tuple, fitted: tuple) -> list:
+def _narrow(places: list, *columns) -> tuple:
+    """A stack's per-split ``columns`` (arrays and lists) at ``places``; the columns
+    themselves when every split stays, so that one split per stack copies nothing."""
+    if len(places) == len(columns[0]):
+        return columns
+    return tuple(c[places] if isinstance(c, np.ndarray) else [c[j] for j in places]
+                 for c in columns)
+
+
+def _search(dataset: Dataset, config: TestConfig, plan: _Plan, train, fits) -> list:
+    """Each split's partition of its training rows: the lockstep covariate search, which
+    hands back a split's infeasible search as its exception, or quantiles of one score."""
+    prob = [fit.fitted_prob for fit in fits]
+    if plan.index is not None:
+        return _greedy_stack(plan.index, train, dataset.y, prob)
+    source = _MTA_PROB_COLUMN if plan.scores is None else config.score_column
+    values = prob if plan.scores is None else plan.scores[train]
+    return [probability_partition(v, config.k, source=source) for v in values]
+
+
+def _assign(dataset: Dataset, plan: _Plan, parts, prob, test) -> np.ndarray:
+    """Each split's test rows assigned to its partition's groups in one pass (s x n_test)."""
+    sources = sorted({src for part in parts for src in part.sources})
+    if plan.index is None:  # one source: the fitted probabilities or the score column
+        values = dict.fromkeys(sources, prob if plan.scores is None else plan.scores[test])
+    else:
+        values = {src: dataset.columns[src][test] for src in sources}
+    return _assign_stack(parts, values)
+
+
+def _score_stack(dataset: Dataset, config: TestConfig, plan: _Plan, stack: _Stack) -> list:
     """Everything of a stack of splits after their fits, one stacked pass per layer.
 
-    ``fitted`` is what ``_fit_splits`` returns. The test rows of all splits,
-    gathered there, are predicted together, the covariate partitions are
-    searched in lockstep (``partition._greedy_stack``) on the test's one
-    search index from ``_plan``, the test rows are assigned to their groups
-    in one pass (``partition._assign_stack``), and the statistic, its
-    gradient and the correction's solve each run once for the stack. Each
-    split's rule counts and outcome stay its own, and each stacked layer
-    gives every split what it would get alone, so no result depends on the
-    stack.
+    Each layer runs once on the splits still in the stack, and gives every
+    split what it would get alone, so no result depends on the stack.
 
     Returns one entry per split: its ``SplitOutcome`` with a NaN p-value,
     which ``_with_p_values`` fills in once per test, or the exception the
@@ -553,55 +576,31 @@ def _score_stack(dataset: Dataset, config: TestConfig, plan: tuple, fitted: tupl
     TypeError, IndexError, ...) is a bug and propagates instead of being
     counted as a failed split.
     """
-    n = dataset.n
-    n_train, index, scores, _ = plan
-    train, test, xt_test, results = fitted
-    live = [i for i, r in enumerate(results) if not isinstance(r, Exception)]
-    if not live:
-        return results
-    # a new list: the caller's ``fitted`` keeps the fits, and their memory at
-    # the top of the heap, until the next stack is fitted. Freeing them here
-    # let malloc trim the heap after every 18,000-row split: a 20,000-row
-    # covariate test then took 61.7k minor page faults instead of 4.6k and
-    # ran 8% slower.
-    results = list(results)
-    if len(live) < len(results):
-        train, test, xt_test = train[live], test[live], xt_test[live]
-    models = [results[i] for i in live]
-    coef = np.stack([m.coef for m in models])
-    phat_test = _clamped_logistic(_linear(coef, xt_test))
-
-    if index is not None:
-        parts = _greedy_stack(index, train, dataset.y, [m.fitted_prob for m in models])
-    else:
-        source = _MTA_PROB_COLUMN if scores is None else config.score_column
-        train_scores = [m.fitted_prob for m in models] if scores is None else scores[train]
-        parts = [probability_partition(t, config.k, source=source) for t in train_scores]
-    at = []  # the splits with a partition, as places in the stack arrays
-    for j, part in enumerate(parts):
-        if isinstance(part, Exception):
-            results[live[j]] = part
-        else:
-            at.append(j)
+    # a new list: the fits in ``stack`` must live until the next stack is fitted (malloc trimming)
+    out = list(stack.fits)
+    at = [i for i, fit in enumerate(out) if not isinstance(fit, Exception)]  # split of each place
     if not at:
-        return results
-    if len(at) < len(live):
-        coef, xt_test, phat_test, test = coef[at], xt_test[at], phat_test[at], test[at]
-    if index is None:
-        values = {source: phat_test if scores is None else scores[test]}
-    else:
-        values = {src: dataset.columns[src][test]
-                  for src in sorted({src for j in at for src in parts[j].sources})}
-    groups = _assign_stack([parts[j] for j in at], values)
+        return out
+    fits, train, test, xt_test = _narrow(at, stack.fits, stack.train, stack.test, stack.xt_test)
+    coef = np.stack([fit.coef for fit in fits])
+    prob = _clamped_logistic(_linear(coef, xt_test))
+    parts = _search(dataset, config, plan, train, fits)
+    for i, part in zip(at, parts):
+        out[i] = part  # a failure stays; a partition gives way to the split's outcome
+    keep = [j for j, part in enumerate(parts) if not isinstance(part, Exception)]
+    if not keep:
+        return out
+    at, fits, parts, coef, xt_test, prob, test = _narrow(keep, at, fits, parts, coef, xt_test,
+                                                         prob, test)
+    groups = _assign(dataset, plan, parts, prob, test)
     y_test = dataset.y[test]
-    bags = _bag_values(y_test, phat_test, groups, [parts[j].size for j in at])
-    corrs = _corrections([b.statistic for b in bags],
-                         np.stack([models[j].fisher_info for j in at]),
+    bags = _bag_values(y_test, prob, groups, [part.size for part in parts])
+    corrs = _corrections([bag.statistic for bag in bags],
+                         np.stack([fit.fisher_info for fit in fits]),
                          _gradients(coef, xt_test, y_test, groups))
-    for j, bag, corr in zip(at, bags, corrs):
-        i, part = live[j], parts[j]
+    for i, fit, part, bag, corr in zip(at, fits, parts, bags, corrs):
         max_group = int(np.argmax(bag.contributions))
-        results[i] = SplitOutcome(
+        out[i] = SplitOutcome(
             statistic=bag.statistic,
             adjusted=corr.adjusted,
             se=corr.se,
@@ -610,12 +609,12 @@ def _score_stack(dataset: Dataset, config: TestConfig, plan: tuple, fitted: tupl
             partition=part,
             counts_all=_rule_counts(part.groups),
             counts_max_group=_rule_counts(part.groups[max_group:max_group + 1]),
-            converged=models[j].converged,
+            converged=fit.converged,
             correction_skipped=corr.skipped,
-            train_n=n_train,
-            test_n=n - n_train,
+            train_n=plan.n_train,
+            test_n=dataset.n - plan.n_train,
         )
-    return results
+    return out
 
 
 def _with_p_values(outcomes: list) -> list:
@@ -723,14 +722,14 @@ def multi_split_test(
     plan = _plan(config, dataset, x_full)
     # the larger half of a split sizes the stack: with a small training set on
     # a large file, the test rows are what a stack holds most of
-    per_stack = max(1, _STACK_ROWS // max(plan[0], dataset.n - plan[0]))
+    per_stack = max(1, _STACK_ROWS // max(plan.n_train, dataset.n - plan.n_train))
     # stacks of even size: a short last stack would pay a whole stack's overhead
     per_stack = -(-config.splits // -(-config.splits // per_stack))
     scored = []
     for lo in range(0, config.splits, per_stack):
         rngs = [rng.child(("split", i)) for i in range(lo, min(lo + per_stack, config.splits))]
-        fitted = _fit_splits(dataset, x_full, plan, rngs)
-        scored += _score_stack(dataset, config, plan, fitted)
+        stack = _fit_splits(dataset, x_full, plan, rngs)
+        scored += _score_stack(dataset, config, plan, stack)
     outcomes = [SplitOutcome.failure(f"{type(out).__name__}: {out}")
                 if isinstance(out, Exception) else out for out in _with_p_values(scored)]
 

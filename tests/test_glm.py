@@ -535,7 +535,8 @@ def _fit_stack_from(ds, x, streams, full, n_train=None):
     """The fits of the splits drawn from ``streams`` as ``gof._fit_splits`` makes them,
     from the plan's full-data fit ``full`` (None: from zero)."""
     n_train = gof.default_train_size(ds.n, 5) if n_train is None else n_train
-    return gof._fit_splits(ds, x, (n_train, None, None, full), streams)[3]
+    plan = gof._Plan(n_train=n_train, index=None, scores=None, full=full)
+    return gof._fit_splits(ds, x, plan, streams).fits
 
 
 def _fit_direct(x, y, trains, start):
@@ -707,7 +708,7 @@ class TestWarmStart:
         assert full.converged and _at_clamp(full.fitted_prob)
         assert gof._full_fit_start(x, ds.y) is None
         plan = gof._plan(gof.TestConfig(partition_by="mta-prob"), ds, x)
-        assert plan[3] is None
+        assert plan.full is None
         # started from the clamped fit, with its first pass downdated or
         # direct, split fits stop elsewhere on the flat likelihood of their
         # clamped rows

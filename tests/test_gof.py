@@ -587,13 +587,16 @@ class TestMultiSplit:
         pytest.param("InfeasiblePartitionError", "covariates", id="InfeasiblePartitionError"),
         pytest.param("RankDeficiencyError", "covariates", id="RankDeficiencyError-covariates"),
         pytest.param("SingleClassError", "score", id="SingleClassError-score"),
+        pytest.param("RankDeficiencyError+InfeasiblePartitionError", "covariates",
+                     id="fit-and-search-failures"),
     ])
     def test_reports_do_not_depend_on_the_stack_size(self, monkeypatch, failure, mode):
         # x2 is nonzero on two rows only, or y holds two positives: a split
         # that holds both rows out of training fails its fit alone. For the
         # covariate search, c is 0 and d is "u" on 48 rows, so a split with
         # fewer than n_min = 8 of the other 12 rows of each in training has no
-        # feasible root cut and fails its search alone.
+        # feasible root cut and fails its search alone. With both, a stack
+        # loses splits after the fit and again after the search.
         rng = np.random.default_rng(3)
         n = 60
         x1, x2 = rng.normal(size=n), rng.normal(size=n)
@@ -603,14 +606,14 @@ class TestMultiSplit:
         cfg = TestConfig(k=3, train_size=40, splits=40, partition_by=mode,
                          score_column="s" if mode == "score" else None,
                          continuous=("x1", "x2") if mode == "covariates" else None)
-        if failure == "RankDeficiencyError":
+        if "RankDeficiencyError" in failure:
             x2 = np.zeros(n)
             x2[:2] = (1.0, 2.0)
             columns["x2"] = x2
-        elif failure == "SingleClassError":
+        if failure == "SingleClassError":
             y = np.zeros(n, dtype=int)
             y[:2] = 1
-        else:
+        if "InfeasiblePartitionError" in failure:
             c = np.zeros(n)
             c[:12] = rng.uniform(1.0, 2.0, size=12)
             d = np.array(["u"] * n, dtype=object)
@@ -642,9 +645,9 @@ class TestMultiSplit:
             reports.append(json.dumps(report_to_dict(report)))
         assert all(r == reports[0] for r in reports)
         errors = [o.error for o in report.outcomes if o.failed]
-        assert errors and all(e.startswith(failure + ": ") for e in errors)
+        assert errors and {e.split(": ")[0] for e in errors} == set(failure.split("+"))
         assert len(errors) < cfg.splits
-        if failure == "InfeasiblePartitionError":
+        if "InfeasiblePartitionError" in failure:
             rules = {r.source for o in report.outcomes if not o.failed
                      for g in o.partition.groups for r in g.rules}
             assert rules == {"c", "d"}
@@ -727,13 +730,22 @@ class TestMultiSplit:
         rngs = [rng.child(("split", i)) for i in range(7)]
         # a plan of 150 training rows and a start from zero
         x = design_matrix(ds, spec.model_b)
-        train, test, xt_test, fits = gof._fit_splits(ds, x, (150, None, None, None), rngs)
-        assert train.shape == (7, 150) and test.shape == (7, 50) and len(fits) == 7
-        assert np.array_equal(xt_test, x.values[test].transpose(0, 2, 1))
+        plan = gof._Plan(n_train=150, index=None, scores=None, full=None)
+        stack = gof._fit_splits(ds, x, plan, rngs)
+        assert stack.train.shape == (7, 150) and stack.test.shape == (7, 50)
+        assert len(stack.fits) == 7
+        assert np.array_equal(stack.xt_test, x.values[stack.test].transpose(0, 2, 1))
         for i in range(7):
             perm = rng.child(("split", i)).permutation(ds.n)
-            assert np.array_equal(train[i], np.sort(perm[:150]))
-            assert np.array_equal(test[i], np.sort(perm[150:]))
+            assert np.array_equal(stack.train[i], np.sort(perm[:150]))
+            assert np.array_equal(stack.test[i], np.sort(perm[150:]))
+
+    def test_narrowing_copies_nothing_when_every_split_stays(self):
+        rows, fits = np.arange(12.0).reshape(3, 4), ["a", "b", "c"]
+        kept = gof._narrow([0, 1, 2], rows, fits)
+        assert kept[0] is rows and kept[1] is fits
+        narrowed, names = gof._narrow([0, 2], rows, fits)
+        assert np.array_equal(narrowed, rows[[0, 2]]) and names == ["a", "c"]
 
     def test_unsatisfiable_sizes_raise_before_any_split(self):
         spec = make_setting("1", 200, beta3=0.651)
