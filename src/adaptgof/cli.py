@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -57,16 +58,77 @@ def parse_csv(path: str, response: str, overrides: dict | None = None) -> Datase
     non-finite numbers (``nan``, ``inf``) in continuous columns and non-binary
     responses are rejected with their row numbers (the header is row 1). A
     leading UTF-8 byte-order mark is dropped.
+
+    A file of plain numbers is read in one numpy pass (``_numeric_dataset``);
+    any other file, and every error, goes through the cell parser. Both give
+    the same dataset, so neither results nor messages depend on the path.
     """
     overrides = overrides or {}
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
+            # the cell parser reads from the start again, so a pipe goes to it directly
+            if fh.seekable():
+                dataset = _numeric_dataset(fh, response, overrides)
+                if dataset is not None:
+                    return dataset
+                fh.seek(0)
+            reader = csv.reader(fh)
+            try:
+                rows = list(reader)
+            except csv.Error as exc:
+                raise CliError(f"{path} line {reader.line_num}: {exc}") from exc
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CliError(f"{path} is not valid UTF-8: {exc}") from exc
+    return _cell_dataset(path, rows, response, overrides)
 
+
+def _numeric_dataset(fh, response: str, overrides: dict) -> Dataset | None:
+    """The dataset of a file of plain numbers, read in one ``np.loadtxt`` pass, or None.
+
+    It returns only what ``_cell_dataset`` would return: a valid header, every
+    body line a row of header-many numbers, responses 0 or 1, finite
+    covariates and no discrete override. Otherwise it returns None and words
+    no error. numpy parses a cell as ``float`` parses the stripped cell, or
+    rejects it (``1_000``, Arabic-Indic digits). A quote fails that parse, so
+    body lines are ``csv``'s records, and their count catches the blank lines
+    that ``loadtxt`` skips. A line longer than ``csv``'s field limit is left
+    to the cell parser, which raises on a field that long.
+    """
+    try:
+        header = [h.strip() for h in next(csv.reader(fh), [])]
+        first = next(fh, "")
+    except (ValueError, csv.Error):  # a UnicodeDecodeError is a ValueError
+        return None
+    # a blank first line would leave loadtxt no row, and it warns on that
+    if (response not in header or len(set(header)) != len(header) or not first.strip()
+            or any(overrides.get(n, CONTINUOUS) != CONTINUOUS for n in header)):
+        return None
+    limit = csv.field_size_limit()
+    lines = overlong = 0
+
+    def body():
+        nonlocal lines, overlong
+        for line in itertools.chain((first,), fh):
+            lines += 1
+            overlong |= len(line) > limit
+            yield line
+
+    try:
+        table = np.loadtxt(body(), delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    y = table[:, header.index(response)]
+    if (overlong or table.shape != (lines, len(header)) or not ((y == 0.0) | (y == 1.0)).all()
+            or not np.isfinite(table).all()):
+        return None
+    columns = {name: table[:, j].copy() for j, name in enumerate(header) if name != response}
+    return Dataset(y=y, columns=columns, kinds=dict.fromkeys(columns, CONTINUOUS))
+
+
+def _cell_dataset(path: str, rows: list, response: str, overrides: dict) -> Dataset:
+    """The dataset of ``csv.reader``'s records, typed and checked cell by cell."""
     if not rows:
         raise CliError(f"{path} is empty")
     header = [h.strip() for h in rows[0]]
@@ -255,7 +317,8 @@ def run_test_command(args) -> int:
         )
         report = multi_split_test(dataset, formula, test_config, RandomSource(seed), seed=seed)
     except (ValueError, KeyError) as exc:
-        raise CliError(str(exc)) from exc
+        # a KeyError's str() is its message in repr quotes
+        raise CliError(exc.args[0] if isinstance(exc, KeyError) else str(exc)) from exc
 
     payload = report_to_dict(report)
     payload["artifact"] = {"name": "adaptgof", "version": __version__}

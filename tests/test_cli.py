@@ -3,17 +3,21 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import adaptgof
-from adaptgof import RandomSource, parse_formula
+from adaptgof import RandomSource, cli, parse_formula
 from adaptgof.cli import CliError, _floats, main, parse_csv
 from adaptgof.sim import generate, make_setting
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# cells that numpy and Python's float may read differently
+PINNED_CELLS = ["1_000", "\u0661\u0662\u0663", " 1.5\t", "infinity", "-NaN", "1e500", "0x1p3",
+                "1__0", "nan(1)"]
 
 
 def write_dataset_csv(dataset, path):
@@ -179,8 +183,7 @@ class TestParseCsv:
         assert ds.y.dtype == np.int64
         assert ds.y.tolist() == [1, 0, 0, 1]
 
-    @pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662\u0663", " 1.5\t", "infinity",
-                                      "-NaN", "1e500", "0x1p3", "1__0", "nan(1)"])
+    @pytest.mark.parametrize("cell", PINNED_CELLS)
     def test_cells_convert_as_python_float_does(self, cell):
         # numpy's conversion is Python's float: the same value, sign and NaN
         # bits, or the same rejection (None), alone and inside a column
@@ -217,6 +220,145 @@ class TestParseCsv:
         path.write_text("y,x\n1,0.5\n2,1.5\nyes,2.5\n")
         with pytest.raises(CliError, match="row 3: response value '2' is not 0 or 1"):
             parse_csv(str(path), "y")
+
+
+def parse_outcome(path, **kw):
+    """``parse_csv``'s dataset, or the text of its ``CliError``; any warning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return parse_csv(str(path), "y", **kw)
+        except CliError as exc:
+            return f"CliError: {exc}"
+
+
+def assert_same_outcome(got, want):
+    """Equal messages, or datasets with the same column order, kinds and bits."""
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert list(got.columns) == list(want.columns)
+    assert got.kinds == want.kinds
+    for a, b in [(got.y, want.y)] + [(got.columns[n], want.columns[n]) for n in want.columns]:
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.flags.c_contiguous and b.flags.c_contiguous
+        if a.dtype == object:
+            assert a.tolist() == b.tolist()
+        else:
+            assert a.tobytes() == b.tobytes()  # -0.0 included
+
+
+def cell_parser_only(monkeypatch):
+    monkeypatch.setattr(cli, "_numeric_dataset", lambda fh, response, overrides: None)
+
+
+def one_pass_only(monkeypatch):
+    def refuse(path, rows, response, overrides):
+        raise AssertionError("the file went to the cell parser")
+
+    monkeypatch.setattr(cli, "_cell_dataset", refuse)
+
+
+WHOLE_FILES = {
+    **{f"cell-{i}": f"y,x\n1,0.5\n0,{cell}\n1,2\n".encode() for i, cell in enumerate(PINNED_CELLS)},
+    **{f"response-{i}": f"y,x\n1,0.5\n{cell},1.5\n".encode() for i, cell in enumerate(PINNED_CELLS)},
+    "plain": b"y,x1,x2\n1,0.5,-0.0\n0,1.5,2e-310\n1,-2.5,3.0000000000000000000000001\n",
+    "blank-line-mid-file": b"y,x\n1,0.5\n\n0,1.5\n",
+    "blank-line-at-end": b"y,x\n1,0.5\n0,1.5\n\n",
+    "blank-first-line": b"y,x\n\n1,0.5\n0,1.5\n",
+    "whitespace-line": b"y,x\n1,0.5\n  \t\n0,1.5\n",
+    "comment-line": b"y,x\n1,0.5\n# note\n0,1.5\n",
+    "comment-cell": b"y,x\n1,0.5 # note\n0,1.5\n",
+    "quoted-number": b'y,x\n1,"0.5"\n0,1.5\n',
+    "quoted-header": b'"y","x"\n1,0.5\n0,1.5\n',
+    "trailing-comma": b"y,x\n1,0.5,\n0,1.5,\n",
+    "short-row": b"y,x\n1,0.5\n0\n",
+    "long-row": b"y,x\n1,0.5\n0,1.5,2.5\n",
+    "missing-cell": b"y,x\n1,0.5\n0, \n",
+    "header-only": b"y,x\n",
+    "empty": b"",
+    "no-response": b"a,x\n1,0.5\n0,1.5\n",
+    "duplicate-header": b"y,x,x\n1,0.5,1\n0,1.5,2\n",
+    "padded-header": b" y , x \n1, 0.5 \n0,\t1.5\n",
+    "byte-order-mark": b"\xef\xbb\xbfy,x\n1,0.5\n0,1.5\n",
+    "crlf": b"y,x\r\n1,0.5\r\n0,1.5\r\n",
+    "lone-cr": b"y,x\r1,0.5\r0,1.5\r",
+    "no-final-newline": b"y,x\n1,0.5\n0,1.5",
+    "responses-as-floats": b"y,x\n1.0,0.5\n0e0,1.5\n-0,2.5\n",
+    "non-binary-response": b"y,x\n1,0.5\n2,1.5\n",
+    "non-finite-covariate": b"y,x\n1,0.5\n0,inf\n",
+    "text-column": b"y,x,c\n1,0.5,a\n0,1.5,b\n",
+    "response-only": b"y\n1\n0\n",
+    "not-utf-8": b"y,x\n1,0.5\n0,\xff\n",
+    "over-long-field": b"y,x\n1,0.5\n1." + b"0" * 140_000 + b",1.5\n",
+}
+
+
+class TestOnePassRead:
+    """A file of plain numbers is read in one numpy pass; the rest by cells."""
+
+    @pytest.mark.parametrize("content", WHOLE_FILES.values(), ids=WHOLE_FILES.keys())
+    def test_both_paths_give_the_same_outcome(self, tmp_path, monkeypatch, content):
+        path = tmp_path / "in.csv"
+        path.write_bytes(content)
+        got = parse_outcome(path)
+        cell_parser_only(monkeypatch)
+        assert_same_outcome(got, parse_outcome(path))
+
+    @pytest.mark.parametrize("overrides", [{"x": "continuous"}, {"x": "discrete"},
+                                           {"y": "discrete"}, {"z": "discrete"}])
+    def test_overrides_give_the_same_outcome(self, tmp_path, monkeypatch, overrides):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"y,x\n1,0.5\n0,1.5\n")
+        got = parse_outcome(path, overrides=overrides)
+        cell_parser_only(monkeypatch)
+        assert_same_outcome(got, parse_outcome(path, overrides=overrides))
+
+    def test_a_csv_writer_file_takes_one_pass(self, tmp_path, monkeypatch):
+        # csv.writer ends rows with \r\n; a generated nn-example file of 3,000
+        # rows spans many read blocks
+        ds = generate(make_setting("nn-example", 3000), RandomSource(2))
+        path = tmp_path / "nn.csv"
+        write_dataset_csv(ds, path)
+        want = parse_outcome(path)
+        one_pass_only(monkeypatch)
+        assert_same_outcome(parse_outcome(path), want)
+        assert want.y.tolist() == ds.y.tolist()
+
+    @pytest.mark.parametrize("line_end", ["\r\n", "\n"])
+    def test_line_ends_across_read_blocks_take_one_pass(self, tmp_path, monkeypatch, line_end):
+        # each row's line end starts on the last character of a 4,096-character
+        # block, so a \r\n falls across every block boundary of every power-of-
+        # two read size from 4,096 to 65,536 characters
+        block, text, rows = 4096, f"y,x{line_end}", []
+        for end in range(block - 1, 17 * block, block):
+            while len(text) + 40 < end:
+                text += f"{len(rows) % 2},0.25{line_end}"
+                rows.append(0.25)
+            digits = "5" * (end - len(text) - 4)  # "1,0." then the digits end at `end`
+            text += f"{len(rows) % 2},0.{digits}{line_end}"
+            rows.append(float(f"0.{digits}"))
+            assert text[end] == line_end[0]
+        path = tmp_path / "blocks.csv"
+        path.write_bytes(text.encode())
+        one_pass_only(monkeypatch)
+        ds = parse_outcome(path)
+        assert ds.columns["x"].tolist() == rows
+        assert ds.y.tolist() == [i % 2 for i in range(len(rows))]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_is_read_by_cells(self, monkeypatch):
+        # a pipe cannot be read twice, so it never takes the one-pass read
+        read, write = os.pipe()
+        try:
+            os.write(write, b"y,x,c\n1,0.5,a\n0,1.5,b\n")
+            os.close(write)
+            ds = parse_csv(f"/dev/fd/{read}", "y")
+        finally:
+            os.close(read)
+        assert ds.kinds == {"x": "continuous", "c": "discrete"}
+        assert ds.columns["c"].tolist() == ["a", "b"]
 
 
 class TestFormulaRoundTrip:
@@ -441,6 +583,25 @@ class TestTestCommand:
         code = main(["test", "--input", path, "--response", "y",
                      "--formula", "x1", "--partition", "bogus"])
         assert code == 1
+
+    def test_field_over_the_csv_limit_is_an_error(self, tmp_path, capsys):
+        # a response of 140,000 characters reads as 1.0, but csv rejects the field
+        path = tmp_path / "long.csv"
+        path.write_text("y,x1\n1,0.5\n1." + "0" * 140_000 + ",1.5\n")
+        code = main(["test", "--input", str(path), "--response", "y", "--formula", "x1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (f"error: {path} line 3: field larger than field limit "
+                                f"({csv.field_size_limit()})\n")
+        assert "decision" not in captured.out
+
+    def test_unknown_score_column_is_an_error(self, tmp_path, capsys):
+        path = setting1_csv(tmp_path, n=200)
+        code = main(["test", "--input", path, "--response", "y", "--formula", "x1",
+                     "--partition", "score:p", "--splits", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: unknown column 'p'\n"
 
     def test_score_partition_mode(self, tmp_path):
         spec = make_setting("1", 500, beta3=0.651)
