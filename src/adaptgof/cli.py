@@ -409,15 +409,21 @@ def run_experiment_command(args) -> int:
         kind, _, model = label.partition("-")
         if kind not in ("hl", "bag") or model not in ("a", "b"):
             raise CliError(f"unknown method {label!r}; use hl-a, hl-b, bag-a, bag-b")
+        if any(m.label == label for m in methods):
+            raise CliError(f"--methods lists {label!r} more than once")
         methods.append(MethodSpec(kind, model.upper(), splits=args.splits))
 
+    # before the first replication, so that a bad --outdir costs no run
+    try:
+        os.makedirs(args.outdir, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create {args.outdir}: {exc}") from exc
     rng = RandomSource(seed)
     try:
         results = run_experiment(specs, methods, reps=args.reps, rng=rng, alpha=args.alpha)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    os.makedirs(args.outdir, exist_ok=True)
     csv_path = os.path.join(args.outdir, "rates.csv")
     manifest_path = os.path.join(args.outdir, "manifest.json")
     try:

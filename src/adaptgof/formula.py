@@ -119,7 +119,8 @@ def design_matrix(dataset: Dataset, formula: Formula) -> DesignMatrix:
     """Build the intercept-plus-terms design matrix for a formula.
 
     The values are column-major: each term's column is contiguous, so the IRLS
-    fit reads the transposed (p x n) design without a copy.
+    fit reads the transposed (p x n) design, ``DesignMatrix.transposed``, without
+    a copy.
     """
     missing = [n for n in formula.column_names() if n not in dataset.columns]
     if missing:

@@ -33,8 +33,8 @@ returned as ``FittedGlm.fitted_prob``.
 
 The fit works on the transposed design, a row-contiguous p x n array, so the
 candidate predictors, the gradient and X'WX are products over rows of length
-n. ``formula.design_matrix`` builds its values column-major, which makes that
-transpose a view; any other design is copied once per fit. Each step checks
+n: ``DesignMatrix.transposed``, a view of the column-major design that
+``formula.design_matrix`` builds; any other design is copied once per fit. Each step checks
 its normal equations by Cholesky factorisation, where a numerically singular
 system raises ``RankDeficiencyError``, and solves them with
 ``np.linalg.solve`` (LU, LAPACK ``gesv``): the module needs numpy alone.
@@ -44,11 +44,13 @@ fits s splits of equal shape (s x p x n) in lockstep, so a test's split loop
 (``gof.multi_split_test``) pays the per-call overhead of a step once per stack
 rather than once per split. ``fit_logistic`` is its one-split case. Every
 product is one per split in the stack's shape and every stop is per split, so
-a split's fit does not depend on what else is in its stack. A split leaves the
-stack when it converges, stops or fails, and only then are the remaining
-splits' rows moved forward, in place; a one-split stack copies no rows while
-it iterates. The stack's full Newton steps are scored together; the rare split
-whose full step is not kept halves on its own.
+a split's fit does not depend on what else is in its stack. Whether a split
+converges, stops or fails, it leaves the stack in one place: the top of the
+pass after its exit, where X'WX is taken at every split's coefficients
+anyway, so leaving costs a converged split nothing. Only then are the
+remaining splits' rows moved forward, in place; a one-split stack copies no
+rows while it iterates. The stack's full Newton steps are scored together;
+the rare split whose full step is not kept halves on its own.
 """
 
 from __future__ import annotations
@@ -112,6 +114,15 @@ class DesignMatrix:
     @property
     def ncol(self) -> int:
         return self.values.shape[1]
+
+    @property
+    def transposed(self) -> np.ndarray:
+        """The p x n transpose, row-contiguous and read-only: a view of a
+        column-major design, which ``formula.design_matrix`` builds, and a copy
+        of any other."""
+        xt = np.asfortranarray(self.values).T
+        xt.flags.writeable = False
+        return xt
 
 
 @dataclass(frozen=True)
@@ -304,13 +315,21 @@ def _fit_stack(xt: np.ndarray, y, names: tuple, start=None, first=None) -> list:
     a cold start then agree to rounding, where at the test alone they differ
     by up to J^-1 times the 1e-8 n tolerance.
 
-    A split leaves the stack through ``leave`` whatever its exit: one
-    response class, convergence, a singular system, no kept step or the
-    iteration cap. Only then are the stack's rows gathered again, in place:
-    each remaining split's block moves forward in ``xt``, so the fit may
-    overwrite ``xt``; it never does for a one-split stack, whose split stays
-    or leaves. Every product is one per split of the stack's shape, so a
-    split's fit is bit for bit the same whatever else is in its stack.
+    Each pass ends by marking done every split that passed the test or did
+    not move (no try kept, or the zero step of a singular system, whose
+    failure is recorded where it is raised); a single-class split starts
+    done, and the iteration cap marks every split done. Every split leaves in
+    one place, the top of the next pass, which takes X'WX at every split's
+    coefficients anyway: it records a ``FittedGlm`` for each done split
+    without a failure and returns once all are done. A split that did not
+    move keeps its coefficients, probabilities and log-likelihood, so its
+    record is the one it had a pass earlier (its information is taken from
+    X'WX even when its one pass read ``first``). Only then are the stack's
+    rows gathered again, in place: each remaining split's block moves
+    forward in ``xt``, so the fit may overwrite ``xt``; it never does for a
+    one-split stack, whose split stays or leaves. Every product is one per
+    split of the stack's shape, so a split's fit is bit for bit the same
+    whatever else is in its stack.
 
     Returns one entry per split: its ``FittedGlm``, or the split's own
     failure, ``SingleClassError`` or ``RankDeficiencyError``, with the
@@ -330,14 +349,14 @@ def _fit_stack(xt: np.ndarray, y, names: tuple, start=None, first=None) -> list:
     ll_path = [[v] for v in ll.tolist()]
     iterations = 0
     passed = np.zeros(s, dtype=bool)  # passed the gradient test: closing step taken
-
-    def leave(gone, info=None):
-        """Take the splits marked ``gone`` out of the stack, recording their fits if
-        ``info``, converged if they passed the gradient test, and move the blocks
-        of the splits that stay forward in ``xt``."""
-        nonlocal split, xt, y, flip, beta, prob, ll, passed
-        if info is not None:
-            for j in np.flatnonzero(gone):
+    done = y.min(axis=1) == y.max(axis=1)
+    for j in np.flatnonzero(done).tolist():
+        results[j] = SingleClassError("both response classes must be present")
+    while True:
+        if iterations:
+            info = _weighted_gram(xt, prob)
+        for j in np.flatnonzero(done).tolist():
+            if results[split[j]] is None:  # no failure recorded: the split's fit
                 results[split[j]] = FittedGlm(
                     coef=beta[j],
                     converged=bool(passed[j]),
@@ -349,61 +368,37 @@ def _fit_stack(xt: np.ndarray, y, names: tuple, start=None, first=None) -> list:
                     # a copy: a view would keep the stack's whole array alive
                     fitted_prob=prob[j].copy(),
                 )
-        keep = ~gone
-        for to, at in enumerate(np.flatnonzero(keep).tolist()):
-            if to != at:
-                xt[to] = xt[at]
-        split, y, flip, beta, prob, ll, passed = (
-            arr[keep] for arr in (split, y, flip, beta, prob, ll, passed))
-        xt = xt[:split.size]
-        return keep
-
-    single = y.min(axis=1) == y.max(axis=1)
-    if single.any():
-        for j in np.flatnonzero(single).tolist():
-            results[j] = SingleClassError("both response classes must be present")
-        keep = leave(single)
-        info, grad = info[keep], grad[keep]
-    for _ in range(_MAX_ITER):
-        if split.size == 0:
-            break
+        if done.all():
+            return results
+        if done.any():
+            keep = np.flatnonzero(~done)
+            for to, at in enumerate(keep.tolist()):
+                if to != at:
+                    xt[to] = xt[at]
+            xt = xt[:keep.size]
+            split, y, flip, beta, prob, ll, info, grad = (
+                arr[keep] for arr in (split, y, flip, beta, prob, ll, info, grad))
         if iterations:
-            # also the information at the final coefficients of the splits
-            # that took their closing step in the last pass, which leave now
-            info = _weighted_gram(xt, prob)
-            if passed.any():
-                keep = leave(passed, info)
-                if split.size == 0:
-                    break
-                info = info[keep]
             grad = _gradient(xt, y, prob)
         passed = np.abs(grad).max(axis=1) <= grad_tol
         iterations += 1
         try:
             delta = _solve_spd(info, grad)
         except RankDeficiencyError:
-            # one system at a time, to find the singular ones
+            # one system at a time, to find the singular ones; their zero step
+            # does not move, so they are done at the end of the pass
             delta = np.zeros_like(grad)
-            failed = np.zeros(split.size, dtype=bool)
             for j in range(split.size):
                 try:
                     delta[j] = _solve_spd(info[j], grad[j])
                 except RankDeficiencyError as exc:
                     if not passed[j]:  # a closing step that cannot be solved does not move
-                        results[split[j]], failed[j] = exc, True
-            keep = leave(failed)
-            if split.size == 0:
-                break
-            delta, info = delta[keep], info[keep]
+                        results[split[j]] = exc
         beta, prob, ll, moved = _halving_step(xt, flip, beta, prob, ll, delta)
         for j, v in zip(split[moved].tolist(), ll[moved].tolist()):
             ll_path[j].append(v)
-        stuck = ~(moved | passed)
-        if stuck.any():
-            leave(stuck, info)  # no try kept: beta, prob and ll are unchanged
-    else:
-        leave(np.ones(split.size, dtype=bool), _weighted_gram(xt, prob))
-    return results
+        # where a split did not move, its beta, prob and ll are unchanged
+        done = passed | ~moved | (iterations == _MAX_ITER)
 
 
 def _check_response(y: np.ndarray) -> None:
@@ -436,10 +431,7 @@ def fit_logistic(x: DesignMatrix, y) -> FittedGlm:
     _check_response(yv)
     if n < p and yv.min() < yv.max():  # a single class is the stack's failure, and comes first
         raise ValueError(f"need at least as many rows ({n}) as columns ({p})")
-    # p x n, row-contiguous; a view when x.values is column-major, which the
-    # one-split stack never writes to
-    xt = np.asfortranarray(x.values).T
-    [fit] = _fit_stack(xt[None], yv[None], x.names)
+    [fit] = _fit_stack(x.transposed[None], yv[None], x.names)
     if isinstance(fit, Exception):
         raise fit
     return fit
@@ -449,12 +441,10 @@ def predict_prob(model: FittedGlm, x: DesignMatrix) -> np.ndarray:
     """Fitted probabilities logistic(x @ coef), clamped to [1e-10, 1 - 1e-10].
 
     The one-split case of the stacked prediction ``gof`` makes for a stack of
-    splits' test rows: ``_linear`` over the transposed design, which is a
-    view of a column-major design and a copy of any other.
+    splits' test rows: ``_linear`` over ``x.transposed``.
     """
     if x.ncol != model.coef.shape[0]:
         raise ValueError(
             f"design has {x.ncol} columns but the model has {model.coef.shape[0]} coefficients"
         )
-    xt = np.asfortranarray(x.values).T
-    return _clamped_logistic(_linear(model.coef[None], xt[None])[0])
+    return _clamped_logistic(_linear(model.coef[None], x.transposed[None])[0])

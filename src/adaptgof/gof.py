@@ -239,8 +239,7 @@ def bag_gradient(model: FittedGlm, x_test: DesignMatrix, y_test, group_idx, k: i
     rows held fixed; per-coordinate step 1e-5 * (1 + |beta_j|). The one-split
     case of ``_gradients``.
     """
-    xt = np.asfortranarray(x_test.values).T  # p x n, a view of a column-major design
-    return _gradients(np.asarray(model.coef, dtype=float)[None], xt[None],
+    return _gradients(np.asarray(model.coef, dtype=float)[None], x_test.transposed[None],
                       np.asarray(y_test, dtype=float)[None],
                       np.asarray(group_idx, dtype=int)[None], k)[0]
 
@@ -417,8 +416,7 @@ def _full_fit_start(x_full: DesignMatrix, y) -> _FullFit | None:
     prob = fit.fitted_prob
     if not fit.converged or ((prob <= PROB_CLAMP) | (prob >= 1.0 - PROB_CLAMP)).any():
         return None
-    xt = np.asfortranarray(x_full.values).T  # p x n, a view of a column-major design
-    grad = _gradient(xt[None], np.asarray(y, dtype=float)[None], prob[None])[0]
+    grad = _gradient(x_full.transposed[None], np.asarray(y, dtype=float)[None], prob[None])[0]
     return _FullFit(fit.coef, fit.fisher_info, grad, prob, fit.log_likelihood)
 
 
@@ -472,7 +470,7 @@ def _plan(config: TestConfig, dataset: Dataset, x_full: DesignMatrix) -> _Plan:
 
 def _gather_rows(x: DesignMatrix, rows) -> np.ndarray:
     """Each split's rows of a design, transposed: s x p x m for s index arrays of length m."""
-    xt_full = np.asfortranarray(x.values).T  # p x n, a view of a column-major design
+    xt_full = x.transposed
     out = np.empty((len(rows), xt_full.shape[0], len(rows[0])))
     for o, idx in zip(out, rows):
         # the indices are in range; "clip" only skips the buffered bounds check

@@ -283,10 +283,15 @@ def run_experiment(settings, methods, reps: int, rng: RandomSource,
     (setting, variant, replication); all methods see the same data within a
     replication. Failed replications (a full-data fit that raises or does not
     converge, a degenerate or inconclusive test) are excluded from the rate
-    and reported in ``failures``.
+    and reported in ``failures``. Results are keyed by method label, so a
+    label listed twice raises ``ValueError``.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
+    labels = [m.label for m in methods]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(f"method {label!r} is listed more than once")
     results = []
     for spec in settings:
         rejects = {m.label: 0 for m in methods}

@@ -739,6 +739,10 @@ class TestRunConfig:
         assert payload["config_hash"] == "0470ae64df8e86fc"
 
 
+def _no_experiment(*args, **kwargs):
+    raise AssertionError("the experiment ran")
+
+
 class TestExperimentCommand:
     def test_structural_csv_both_variants(self, tmp_path, capsys):
         outdir = tmp_path / "res"
@@ -804,6 +808,31 @@ class TestExperimentCommand:
         assert capsys.readouterr().err == (
             "error: unknown method 'bag-c'; use hl-a, hl-b, bag-a, bag-b\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("methods", ["bag-b,bag-b", "hl-a,bag-b,BAG-B"])
+    def test_repeated_method_is_usage_error(self, tmp_path, capsys, monkeypatch, methods):
+        # rates are keyed by label: a repeat would count its replications twice
+        monkeypatch.setattr(cli, "run_experiment", _no_experiment)
+        code = main(["experiment", "--setting", "nn-example", "--n", "1000", "--reps", "2",
+                     "--splits", "10", "--seed", "2", "--methods", methods,
+                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --methods lists 'bag-b' more than once\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("outdir", ["file.csv", os.path.join("file.csv", "out"), ""])
+    def test_outdir_that_cannot_be_created_is_an_error(self, tmp_path, capsys, monkeypatch,
+                                                       outdir):
+        # an existing file, a directory under a file and an empty path fail
+        # before the first replication
+        monkeypatch.chdir(tmp_path)
+        Path("file.csv").write_text("y\n1\n")
+        monkeypatch.setattr(cli, "run_experiment", _no_experiment)
+        code = main(["experiment", "--setting", "4", "--n", "100", "--reps", "1",
+                     "--methods", "hl-a", "--seed", "1", "--outdir", outdir])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot create {outdir}: ")
+        assert Path("file.csv").read_text() == "y\n1\n"
 
     def test_zero_splits_is_usage_error(self, tmp_path, capsys):
         code = main(["experiment", "--setting", "4", "--n", "100", "--reps", "3",

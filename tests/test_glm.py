@@ -482,6 +482,33 @@ class TestFitStack:
                 else:
                     _assert_identical_fits(got, want)
 
+    def test_each_split_exits_as_pinned(self):
+        # the comparisons above hold if a split's exit moves in the stack and
+        # alone alike; these literals do not
+        fits = self.fit_stack(_stack_of_every_outcome())
+        got = [(_exit(f),) if isinstance(f, Exception) else (_exit(f), f.iterations, len(f.ll_path))
+               for f in fits]
+        assert got == [
+            ("converged", 5, 6), ("SingleClassError",), ("converged", 9, 10),
+            ("halving", 75, 75), ("RankDeficiencyError",), ("cap", 100, 101),
+            ("cap", 100, 101), ("converged", 5, 6), ("converged", 6, 7),
+        ]
+
+    def test_information_is_taken_at_the_final_coefficients(self):
+        # every exit, the stopped split among converging ones included, takes
+        # its information from X'WX at the coefficients it returns
+        cases = _stack_of_every_outcome()
+        fits = self.fit_stack(cases)
+        assert _exit(fits[3]) == "halving"
+        for (x, _), fit in zip(cases, fits):
+            if isinstance(fit, Exception):
+                continue
+            xt = np.ascontiguousarray(x.T)[None]
+            prob = glm._clamped_logistic(glm._linear(fit.coef[None], xt))
+            assert np.array_equal(prob[0], fit.fitted_prob)
+            gram = glm._weighted_gram(xt, prob)[0]
+            assert np.array_equal(fit.fisher_info, 0.5 * (gram + gram.T))
+
     def test_a_stack_that_fails_entirely_returns_every_error(self):
         x, y = _stack_of_every_outcome()[1]
         fits = self.fit_stack([(x, y), (x, 1 - y)])

@@ -230,6 +230,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment([spec], DEFAULT_METHODS, reps=0, rng=RandomSource(15))
 
+    def test_repeated_method_label_is_an_error(self):
+        # rates and failures are keyed by label: a repeat would count twice
+        spec = make_setting("nn-example", 200)
+        methods = (MethodSpec("bag", "B", splits=5), MethodSpec("hl", "A"),
+                   MethodSpec("bag", "B", splits=10))
+        with pytest.raises(ValueError, match="method 'bag-b' is listed more than once"):
+            run_experiment([spec], methods, reps=2, rng=RandomSource(2))
+
     def test_adaptive_size_stays_conservative_across_settings(self):
         # correct-model rejection rate never materially exceeds the level
         rng = RandomSource(16)
