@@ -23,6 +23,7 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 import numpy as np
@@ -390,8 +391,12 @@ def run_hl_command(args) -> int:
 def run_experiment_command(args) -> int:
     if args.setting not in SETTINGS:
         raise CliError(f"unknown setting {args.setting!r}; choose from {', '.join(SETTINGS)}")
+    _at_least("--n", args.n, 50)
     _at_least("--reps", args.reps, 1)
     _at_least("--splits", args.splits, 1)
+    _at_least("--chi2-df", args.chi2_df, 1)
+    if args.beta3 is not None and not math.isfinite(args.beta3):
+        raise CliError(f"--beta3 must be finite, got {args.beta3}")
     _check_alpha(args.alpha)
     seed = _default_seed(args.seed)
 

@@ -15,7 +15,9 @@ A test builds it once, over all its rows, for all its splits (``gof._plan``);
 each split filters its training rows out of it, and each child group's
 sorted rows are filtered from its parent's. Because a stable sort of a subset
 equals the parent's stable order restricted to that subset, the running sums
-are the ones a fresh per-node sort would give.
+are the ones a fresh per-node sort would give. The index keeps tie ranks only
+for a column in which two values tie: elsewhere a candidate's last left row is
+its threshold row.
 
 The search runs every split of a stack in lockstep (``_greedy_stack``;
 ``greedy_partition`` is its one-split case): each step pops the next queued
@@ -29,9 +31,10 @@ candidate) triple. The layout keeps one such array per column and never one
 (columns x rows) array per node: at 18,000 rows those per-node arrays are
 large fresh allocations whose page faults cost more than the calls they
 save. Membership cuts are scored node by node, from the index's label
-codes. The held-out rows of every split of a stack are assigned to their
-groups in one pass (``_assign_stack``; ``assign_groups`` is its one-split
-case).
+codes. A child's lanes are cut from its parent's when a child on its side
+is first scanned, so children never scanned cost no cut. The held-out rows
+of every split of a stack are assigned to their groups in one pass
+(``_assign_stack``; ``assign_groups`` is its one-split case).
 
 Each group's term of the grouped chi-squared value, (residual sum)^2 /
 (variance sum), comes from one kernel, ``_group_contributions``, which
@@ -340,7 +343,8 @@ def _best_threshold_cuts(srcs, keys, rv, n0, n_min):
     ascending order of continuous column j. The nodes belong to distinct
     splits, in split order. ``keys[j]`` gives every flat row its tie key in
     column j: rows of one split with equal values share a key, keys ascend
-    with the value within a split and from one split to the next. ``rv``
+    with the value within a split and from one split to the next; it is
+    None for a column without ties. ``rv``
     gives every flat row its residual + 1j * variance, and 0 at the padding
     row.
 
@@ -350,9 +354,9 @@ def _best_threshold_cuts(srcs, keys, rv, n0, n_min):
     variance sums: each lane adds in row order, and padding after a node's
     end leaves its prefix sums as they are. A node's candidates are the ranks
     of its own n0 (padded to the longest list, and never feasible there);
-    each candidate's left end is the last row of its run of ties, found by
-    one ``searchsorted`` over the nodes' tie keys, which ascend across the
-    concatenation. One expression scores every (column, node, candidate)
+    each candidate's left end is the last row of its run of ties, found in a
+    column with ties by one ``searchsorted`` over the nodes' tie keys, which
+    ascend across the concatenation. One expression scores every (column, node, candidate)
     triple.
 
     Returns ``(b, hit, col, rank, last)``, one entry per node: the best B,
@@ -384,8 +388,11 @@ def _best_threshold_cuts(srcs, keys, rv, n0, n_min):
     sums = np.empty((n_cols, a, m + 1), dtype=complex)
     # ndarray methods: the np.* wrappers cost as much as the work at small n0
     for c, (src, key) in enumerate(zip(srcs, keys)):
-        tie = key.take(src)
-        last[c] = tie.searchsorted(tie.take(at), side="right") - 1 - start[:, None]
+        if key is None:  # no ties: a candidate's last left row is its threshold row
+            last[c] = ranks
+        else:
+            tie = key.take(src)
+            last[c] = tie.searchsorted(tie.take(at), side="right") - 1 - start[:, None]
         ends[:, :m] = last[c]
         if padded is not None:
             padded[pad] = src
@@ -431,6 +438,7 @@ def _search_index(columns: dict, config: PartitionConfig) -> tuple:
     stable ascending row order, and their dense ranks, which rows with equal
     values share and which ascend with the value, so that the search finds
     the last row of a run of ties in a group by one integer ``searchsorted``.
+    ``ranks`` is None when no two values tie.
     ``coded`` maps each discrete source to ``(labels, codes)``: its sorted
     distinct labels and each row's index into them, since ``np.unique`` over
     strings would cost most of a group's membership cuts. A search over a
@@ -447,10 +455,13 @@ def _search_index(columns: dict, config: PartitionConfig) -> tuple:
             raise ValueError(f"continuous column {s!r} is not finite at row {bad[0]}")
         order = np.argsort(v, kind="stable")
         srt = v.take(order)
-        rank = np.zeros(order.size, dtype=np.intp)
-        np.cumsum(srt[1:] != srt[:-1], out=rank[1:])
-        ranks = np.empty_like(rank)
-        ranks.put(order, rank)
+        rises = srt[1:] != srt[:-1]
+        ranks = None
+        if not rises.all():  # two values tie (an empty column has no ties)
+            rank = np.zeros(order.size, dtype=np.intp)
+            np.cumsum(rises, out=rank[1:])
+            ranks = np.empty_like(rank)
+            ranks.put(order, rank)
         continuous[s] = (v, order, ranks)
     coded = {s: np.unique(np.asarray(columns[s]), return_inverse=True) for s in config.discrete}
     return config, continuous, coded
@@ -509,6 +520,33 @@ def _root_lanes(orders: list, rows: np.ndarray, discrete: bool) -> list:
     return lanes
 
 
+class _Step:
+    """The lanes of the nodes one search step scanned, and their children's.
+
+    ``srcs`` are the nodes' lanes laid end to end and ``left`` marks the flat
+    rows of every left child. ``lanes`` cuts a side, for every child of the
+    step on it, when a child on that side is first scanned: a child never
+    scanned (below 2 * n_min rows, or queued when its split reaches k) costs
+    no cut. Once both sides are cut the step drops ``srcs`` and the masks.
+    """
+
+    __slots__ = ("srcs", "left", "sides", "cut")
+
+    def __init__(self, srcs: list | None, left: np.ndarray | None):
+        self.srcs, self.left, self.sides, self.cut = srcs, left, None, [None, None]
+
+    def lanes(self, side: int) -> list:
+        """The lanes of the left (side 0) or right (side 1) children."""
+        if self.cut[side] is None:
+            if self.sides is None:
+                self.sides, self.left = [self.left.take(src) for src in self.srcs], None
+            self.cut[side] = [src.compress(keep if side == 0 else ~keep)
+                              for src, keep in zip(self.srcs, self.sides)]
+            if None not in self.cut:
+                self.srcs = self.sides = None
+        return self.cut[side]
+
+
 def _greedy_stack(index: tuple, rows: np.ndarray, y: np.ndarray, phat) -> list:
     """The search of ``greedy_partition`` on every split of a stack, in lockstep.
 
@@ -518,8 +556,8 @@ def _greedy_stack(index: tuple, rows: np.ndarray, y: np.ndarray, phat) -> list:
     array per split), each strictly inside (0, 1) as a fit's clamped
     probabilities are. The stack holds its responses and probabilities only
     as the running-sum lanes of ``rv``, and its tie keys as 32-bit integers
-    where they fit: these, the node lanes and the rows are the search's
-    largest arrays.
+    where they fit (a column without ties has none): these, the node lanes
+    and the rows are the search's largest arrays.
 
     Row r of split i is flat row i * n + r. A node's lanes are its flat rows
     in the ascending order of each continuous column and, when there are
@@ -527,12 +565,13 @@ def _greedy_stack(index: tuple, rows: np.ndarray, y: np.ndarray, phat) -> list:
     node of every split that is still growing, lays their lanes end to end
     (a view when they already are) and scores the threshold cuts of all of
     them at once (``_best_threshold_cuts``); the membership cuts are scored
-    node by node. One mask of the left rows then splits every lane of every
-    node, so a child's lanes are its parent's filtered in order: a stable
-    sort of a subset is the parent's stable order restricted to it, and every
-    running sum and tie is the one a fresh per-node sort gives. Every split
-    sees the cuts, ties and sums it would see alone, so its partition does
-    not depend on the stack.
+    node by node. One mask marks the left rows of every cut node; the step
+    keeps it with its lanes (``_Step``) and cuts one side for all its
+    children when a child on that side is first scanned. So a child's lanes
+    are its parent's filtered in order: a stable sort of a subset is the
+    parent's stable order restricted to it, and every running sum and tie is
+    the one a fresh per-node sort gives. Every split sees the cuts, ties and
+    sums it would see alone, so its partition does not depend on the stack.
 
     Returns one entry per split: its ``Partition``, or the
     ``InfeasiblePartitionError`` its search raises alone.
@@ -551,18 +590,21 @@ def _greedy_stack(index: tuple, rows: np.ndarray, y: np.ndarray, phat) -> list:
     rows = np.asarray(rows)
     cols, orders, ties = ([continuous[name][j] for name in ordered] for j in range(3))
     roots = _root_lanes(orders, rows, bool(discrete))
-    keys = []
+    keys = [None] * len(ties)  # a tie-free column needs none
     kind = np.int32 if cols and cols[0].size * s < 2**31 else np.intp
-    for tie in ties:
-        key = tie.take(rows).astype(kind)
-        key += cols[0].size * np.arange(s, dtype=kind)[:, None]  # keys ascend across splits too
-        keys.append(key.ravel())
+    for c, tie in enumerate(ties):
+        if tie is not None:
+            key = tie.take(rows).astype(kind)
+            key += cols[0].size * np.arange(s, dtype=kind)[:, None]  # keys ascend across splits too
+            keys[c] = key.ravel()
     codes = {name: (labels, c.take(rows).ravel()) for name, (labels, c) in coded.items()}
 
-    # A node is (rules, lanes, lo, hi): its flat rows are positions lo:hi of
-    # each array in ``lanes``, which the children of one step share.
-    queues = [deque([((), roots, i * n, (i + 1) * n)]) for i in range(s)]
-    del roots  # the root nodes hold their lanes from here, and free them once split
+    # A node is (rules, step, side, lo, hi): its flat rows are positions lo:hi
+    # of each lane of ``step.lanes(side)``; the roots are one step's left side.
+    root = _Step(None, None)
+    root.cut[0] = roots
+    queues = [deque([((), root, 0, i * n, (i + 1) * n)]) for i in range(s)]
+    del roots, root  # the root nodes hold their lanes from here
     finished = [[] for _ in range(s)]  # (rules, row count): a finished node keeps no lanes
     total = [1] * s
     while True:
@@ -570,11 +612,11 @@ def _greedy_stack(index: tuple, rows: np.ndarray, y: np.ndarray, phat) -> list:
         if not popped:
             break
         nodes = []
-        for i, (rules, lanes, lo, hi) in popped:
+        for i, (rules, step, side, lo, hi) in popped:
             if hi - lo < 2 * n_min:
                 finished[i].append((rules, hi - lo))
             else:
-                nodes.append((i, rules, lanes, lo, hi))
+                nodes.append((i, rules, step.lanes(side), lo, hi))
         if not nodes:
             continue
         n0 = np.array([hi - lo for *_, lo, hi in nodes])
@@ -610,7 +652,8 @@ def _greedy_stack(index: tuple, rows: np.ndarray, y: np.ndarray, phat) -> list:
                                         or (cut[0] == best[0] and name < best[1])):
                     found[t] = (cut[0], name, "in", cut[1], node_codes)
 
-        # mark every winning cut's left rows, then split every lane of every node at once
+        # mark every winning cut's left rows; the children's lanes are cut from
+        # the step's when a child is scanned
         left = np.zeros(s * n + 1, dtype=bool)
         counts = [0] * len(nodes)
         pairs = [None] * len(nodes)
@@ -632,9 +675,7 @@ def _greedy_stack(index: tuple, rows: np.ndarray, y: np.ndarray, phat) -> list:
                 chosen = idx[np.isin(codes[source][0], np.asarray(payload))[where]]
             left[chosen] = True
             counts[t] = chosen.size
-        sides = [left.take(src) for src in srcs]
-        goes_left = [src.compress(side) for src, side in zip(srcs, sides)]
-        goes_right = [src.compress(~side) for src, side in zip(srcs, sides)]
+        step = _Step(srcs, left)
         rest = n0 - counts
         left_at = (np.cumsum(counts) - counts).tolist()
         right_at = (np.cumsum(rest) - rest).tolist()
@@ -643,8 +684,8 @@ def _greedy_stack(index: tuple, rows: np.ndarray, y: np.ndarray, phat) -> list:
                 continue
             i, rules = nodes[t][:2]
             l0, r0 = left_at[t], right_at[t]
-            queues[i].append((rules + (pair[0],), goes_left, l0, l0 + counts[t]))
-            queues[i].append((rules + (pair[1],), goes_right, r0, r0 + int(rest[t])))
+            queues[i].append((rules + (pair[0],), step, 0, l0, l0 + counts[t]))
+            queues[i].append((rules + (pair[1],), step, 1, r0, r0 + int(rest[t])))
             total[i] += 1
 
     results = [None] * s
@@ -654,7 +695,7 @@ def _greedy_stack(index: tuple, rows: np.ndarray, y: np.ndarray, phat) -> list:
                 "the root group admits no feasible split; lower n_min or provide more data")
             continue
         groups = tuple(Group(rules=rules, train_count=int(size)) for rules, size in
-                       finished[i] + [(rules, hi - lo) for rules, _, lo, hi in queues[i]])
+                       finished[i] + [(rules, hi - lo) for rules, _, _, lo, hi in queues[i]])
         used = sorted({rule.source for g in groups for rule in g.rules})
         results[i] = Partition(groups=groups, sources=tuple(used))
     return results

@@ -25,6 +25,7 @@ their fitted probabilities enter through ``score_injection``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +100,8 @@ def make_setting(setting: str, n: int, *, beta3: float | None = None,
     """Resolve a design id plus variant parameters into a full specification.
 
     ``beta3`` belongs to settings 1 and 2 and ``chi2_df`` to setting 3; a
-    parameter the design does not take raises ``ValueError``.
+    parameter the design does not take, a non-finite ``beta3`` and a
+    ``chi2_df`` below 1 raise ``ValueError``.
     """
     setting = str(setting)
     if n < 50:
@@ -108,6 +110,10 @@ def make_setting(setting: str, n: int, *, beta3: float | None = None,
         raise ValueError(f"setting {setting} takes no beta3 parameter (settings 1 and 2 do)")
     if chi2_df is not None and setting != "3":
         raise ValueError(f"setting {setting} takes no chi2_df parameter (setting 3 does)")
+    if beta3 is not None and not math.isfinite(beta3):
+        raise ValueError(f"beta3 must be finite, got {beta3}")
+    if chi2_df is not None and chi2_df < 1:
+        raise ValueError(f"chi2_df must be at least 1, got {chi2_df}")
     if setting == "1":
         b3 = 0.651 if beta3 is None else float(beta3)
         return _design(

@@ -834,6 +834,24 @@ class TestExperimentCommand:
         assert capsys.readouterr().err.startswith(f"error: cannot create {outdir}: ")
         assert Path("file.csv").read_text() == "y\n1\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--setting", "1", "--beta3", "nan", "--methods", "hl-a"], "--beta3 must be finite, got nan"),
+        (["--setting", "1", "--beta3", "inf", "--methods", "bag-a"], "--beta3 must be finite, got inf"),
+        (["--setting", "2", "--beta3=-inf"], "--beta3 must be finite, got -inf"),
+        (["--setting", "3", "--chi2-df", "0"], "--chi2-df must be at least 1, got 0"),
+        (["--setting", "3", "--chi2-df", "-3"], "--chi2-df must be at least 1, got -3"),
+        (["--setting", "1", "--chi2-df", "0"], "--chi2-df must be at least 1, got 0"),
+        (["--setting", "1", "--n", "10"], "--n must be at least 50, got 10"),
+    ])
+    def test_variant_flag_out_of_range_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                      flags, message):
+        monkeypatch.setattr(cli, "run_experiment", _no_experiment)
+        code = main(["experiment", *flags, "--reps", "1", "--splits", "5", "--seed", "1",
+                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_zero_splits_is_usage_error(self, tmp_path, capsys):
         code = main(["experiment", "--setting", "4", "--n", "100", "--reps", "3",
                      "--methods", "hl-a", "--splits", "0", "--seed", "1",

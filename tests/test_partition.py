@@ -413,6 +413,39 @@ class TestPresortedSearchMatchesOracle:
                 expected = greedy_partition_oracle(cfg, ds.columns, ds.y, phat)
                 assert greedy_partition(cfg, ds.columns, ds.y, phat) == expected
 
+    def test_tie_ranks_only_where_values_tie(self):
+        cols = {"t": np.array([2.0, 1.0, 2.0, 0.5]), "u": np.array([3.0, 1.0, 2.0, 0.5]),
+                "one": np.array([7.0, 7.0, 7.0, 7.0])}
+        _, continuous, _ = _search_index(cols, PartitionConfig(k=2, n_min=1,
+                                                               continuous=tuple(cols)))
+        assert continuous["t"][2].tolist() == [2, 1, 2, 0]
+        assert continuous["one"][2].tolist() == [0, 0, 0, 0]
+        assert continuous["u"][2] is None
+        for name, size in (("empty", 0), ("single", 1)):
+            cfg = PartitionConfig(k=2, n_min=1, continuous=(name,))
+            _, continuous, _ = _search_index({name: np.ones(size)}, cfg)
+            assert continuous[name][2] is None
+
+    @pytest.mark.parametrize("n_min", [4, 5, 8])
+    def test_tie_on_a_candidate_threshold_row(self, n_min):
+        # 40 rows, 39 distinct values of t: the pair at sorted places 3 and 4
+        # ties, so with n_min = 4 the first candidate (row 3) leaves 5 rows
+        # on its left, not 4; u beside it has no ties
+        rng = np.random.default_rng(29)
+        t = np.arange(40.0)
+        t[4] = 3.0
+        perm = rng.permutation(40)
+        cols = {"t": t[perm], "u": rng.permutation(40) + 0.25}
+        y = (cols["t"] <= 3.0).astype(float)  # the tied pair sits inside the pure group
+        phat = np.full(40, 0.5)
+        for k in (2, 3, 5):
+            cfg = PartitionConfig(k=k, n_min=n_min, continuous=("t", "u"))
+            part = greedy_partition(cfg, cols, y, phat)
+            assert part == greedy_partition_oracle(cfg, cols, y, phat)
+            if n_min == 4:
+                assert part.groups[0].rules[0] == AxisRule("t", "le", threshold=3.0)
+                assert part.groups[0].train_count == 5
+
     @pytest.mark.parametrize("setting", ["1", "nn-example"])
     def test_split_order_derived_from_shared_presort(self, setting):
         # single_split_test filters the training rows out of one presort of
@@ -540,6 +573,42 @@ class TestLockstepSearch:
             expected = _search_alone(greedy_partition_oracle, cfg, alone, y[rows[i]], phat[i])
             assert _search_alone(greedy_partition, cfg, alone, y[rows[i]], phat[i]) == expected
             assert (type(got) if isinstance(got, Exception) else got) == expected
+
+    @pytest.mark.parametrize("order", [[0, 1, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]])
+    def test_splits_that_stop_early_beside_growing_ones(self, order):
+        # a child's lanes are cut for every split of its step once one split
+        # scans it; the splits that never read them must see no difference
+        cfg, cols, rows, y = _uneven_stack()
+        rows = rows[order]
+        phat = np.full(rows.shape, 0.5)
+        stacked = _greedy_stack(_search_index(cols, cfg), rows, y, phat)
+        counts = {"A": [20, 20, 20], "B": [20, 20, 20], "C": [25, 35]}
+        for i, got in enumerate(stacked):
+            alone = {c: v[rows[i]] for c, v in cols.items()}
+            assert got == greedy_partition_oracle(cfg, alone, y[rows[i]], phat[i])
+            assert got == greedy_partition(cfg, alone, y[rows[i]], phat[i])
+            assert [g.train_count for g in got.groups] == counts["ABC"[order[i]]]
+
+
+def _uneven_stack():
+    """Three splits of 60 rows each, on disjoint rows, searched at k = 3 and
+    n_min = 20, whose trees differ in shape: A's root cut is 40 / 20 on u (pure
+    groups), so A reaches k at its second step and never reads the right side
+    of its root; B's is 20 / 40, so B's left child is too small to scan and
+    its right child is cut at the third step; C's is 25 / 35 on the labels
+    of d, so neither child is scanned and C finishes at 2 groups. t has ties
+    and u none."""
+    rng = np.random.default_rng(7)
+    u = rng.permutation(180) + 0.5
+    cols = {"t": np.round(rng.normal(size=180), 1), "u": u,
+            "d": np.array(["p"] * 25 + ["q"] * 35 + list(rng.choice(["p", "q"], 120)))}
+    cols["d"][:60] = rng.permutation(cols["d"][:60])
+    block = np.arange(180) // 60  # C, A, B
+    rank = np.argsort(np.argsort(u + 1000 * block)) % 60  # each row's place in u in its block
+    y = np.where(block == 0, cols["d"] == "p", np.where(block == 1, rank < 40, rank < 20))
+    rows = np.arange(180).reshape(3, 60)[[1, 2, 0]]  # A, B, C
+    cfg = PartitionConfig(k=3, n_min=20, continuous=("t", "u"), discrete=("d",))
+    return cfg, cols, rows, y.astype(float)
 
 
 @st.composite

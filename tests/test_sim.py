@@ -125,6 +125,17 @@ class TestGenerate:
         with pytest.raises(ValueError, match=f"setting {setting} takes no {name}"):
             make_setting(setting, 500, **params)
 
+    @pytest.mark.parametrize("setting, params, message", [
+        ("1", {"beta3": float("nan")}, "beta3 must be finite, got nan"),
+        ("2", {"beta3": float("inf")}, "beta3 must be finite, got inf"),
+        ("1", {"beta3": -float("inf")}, "beta3 must be finite, got -inf"),
+        ("3", {"chi2_df": 0}, "chi2_df must be at least 1, got 0"),
+        ("3", {"chi2_df": -2}, "chi2_df must be at least 1, got -2"),
+    ])
+    def test_out_of_range_parameter(self, setting, params, message):
+        with pytest.raises(ValueError, match=message):
+            make_setting(setting, 500, **params)
+
     def test_variants(self):
         assert default_variants("1") == [{"beta3": 0.217}, {"beta3": 0.651}]
         assert default_variants("3") == [{"chi2_df": 4}, {"chi2_df": 8}]
